@@ -24,33 +24,44 @@ constexpr int kDomainBits = 64;
 constexpr double kEps = 4.0;
 constexpr uint64_t kN = 1 << 18;
 
-PesParams PesConfig(double beta) {
-  PesParams p;
-  p.domain_bits = kDomainBits;
-  p.epsilon = kEps;
-  p.beta = beta;
-  p.num_coords = 16;
-  p.hash_range = 32;
-  p.expander_degree = 4;
-  return p;
+ProtocolConfig BitsConfig(double beta) {
+  ProtocolConfig c("bitstogram");
+  c.SetUint("domain_bits", kDomainBits)
+      .SetDouble("eps", kEps)
+      .SetDouble("beta", beta);
+  return c;
 }
 
-BitstogramParams BitsConfig(double beta) {
-  BitstogramParams p;
-  p.domain_bits = kDomainBits;
-  p.epsilon = kEps;
-  p.beta = beta;
-  return p;
+ProtocolConfig PesConfig(double beta) {
+  ProtocolConfig c("private_expander_sketch");
+  c.SetUint("domain_bits", kDomainBits)
+      .SetDouble("eps", kEps)
+      .SetDouble("beta", beta)
+      .SetUint("num_coords", 16)
+      .SetUint("hash_range", 32)
+      .SetUint("expander_degree", 4);
+  return c;
+}
+
+double Delta(const ProtocolConfig& config) {
+  return CreateAggregator(config).value()->DetectionThreshold(kN).value();
+}
+
+// Bitstogram's resolved cohort count rho = ceil(log2(1/beta)).
+double Cohorts(double beta) {
+  return static_cast<double>(CreateAggregator(BitsConfig(beta))
+                                 .value()
+                                 ->config()
+                                 .GetUintOr("cohorts", 0));
 }
 
 void BM_DetectionThreshold_PES(benchmark::State& state) {
   const double beta = std::pow(2.0, -static_cast<double>(state.range(0)));
-  auto pes = std::move(PrivateExpanderSketch::Create(PesConfig(beta))).value();
-  double thr = 0;
+  const auto pes = CreateAggregator(PesConfig(beta)).value();
   for (auto _ : state) {
-    thr = pes.DetectionThreshold(kN);
-    benchmark::DoNotOptimize(thr);
+    benchmark::DoNotOptimize(pes->DetectionThreshold(kN));
   }
+  const double thr = pes->DetectionThreshold(kN).value();
   state.counters["Delta"] = thr;
   state.counters["Delta/sqrt(n)"] = thr / std::sqrt(static_cast<double>(kN));
 }
@@ -58,15 +69,14 @@ BENCHMARK(BM_DetectionThreshold_PES)->DenseRange(2, 20, 3);
 
 void BM_DetectionThreshold_Bitstogram(benchmark::State& state) {
   const double beta = std::pow(2.0, -static_cast<double>(state.range(0)));
-  auto bits = std::move(Bitstogram::Create(BitsConfig(beta))).value();
-  double thr = 0;
+  const auto bits = CreateAggregator(BitsConfig(beta)).value();
   for (auto _ : state) {
-    thr = bits.DetectionThreshold(kN);
-    benchmark::DoNotOptimize(thr);
+    benchmark::DoNotOptimize(bits->DetectionThreshold(kN));
   }
+  const double thr = bits->DetectionThreshold(kN).value();
   state.counters["Delta"] = thr;
   state.counters["Delta/sqrt(n)"] = thr / std::sqrt(static_cast<double>(kN));
-  state.counters["cohorts"] = bits.cohorts();
+  state.counters["cohorts"] = Cohorts(beta);
 }
 BENCHMARK(BM_DetectionThreshold_Bitstogram)->DenseRange(2, 20, 3);
 
@@ -75,15 +85,15 @@ BENCHMARK(BM_DetectionThreshold_Bitstogram)->DenseRange(2, 20, 3);
 // honest "who wins where" curve: the Bitstogram minimum grows with
 // sqrt(log(1/beta)) (its cohort split and threshold), the PES minimum does
 // not depend on beta.
-template <typename Protocol>
-double EmpiricalMinFraction(Protocol& proto, double lo, double hi, int lbeta) {
+double EmpiricalMinFraction(const ProtocolConfig& config, double lo, double hi,
+                            int lbeta) {
   for (int step = 0; step < 5; ++step) {
     const double mid = 0.5 * (lo + hi);
     int found = 0;
     for (int t = 0; t < 2; ++t) {
       const Workload w = MakePlantedWorkload(
           kN, kDomainBits, {mid}, 9000 + 131 * lbeta + 17 * step + t);
-      const auto res = std::move(proto.Run(w.database, 500 + t)).value();
+      const auto res = RunBatch(config, w.database, 500 + t).value();
       for (const auto& e : res.entries) found += (e.item == w.heavy[0].first);
     }
     if (found == 2) {
@@ -98,17 +108,15 @@ double EmpiricalMinFraction(Protocol& proto, double lo, double hi, int lbeta) {
 void BM_EmpiricalThresholdCrossover(benchmark::State& state) {
   const int lbeta = static_cast<int>(state.range(0));
   const double beta = std::pow(2.0, -static_cast<double>(lbeta));
-  auto pes = std::move(PrivateExpanderSketch::Create(PesConfig(beta))).value();
-  auto bits = std::move(Bitstogram::Create(BitsConfig(beta))).value();
   double pes_min = 0;
   double bits_min = 0;
   for (auto _ : state) {
-    pes_min = EmpiricalMinFraction(pes, 0.02, 0.55, lbeta);
-    bits_min = EmpiricalMinFraction(bits, 0.02, 0.55, lbeta);
+    pes_min = EmpiricalMinFraction(PesConfig(beta), 0.02, 0.55, lbeta);
+    bits_min = EmpiricalMinFraction(BitsConfig(beta), 0.02, 0.55, lbeta);
   }
   state.counters["pes_min_frac"] = pes_min;
   state.counters["bits_min_frac"] = bits_min;
-  state.counters["cohorts"] = bits.cohorts();
+  state.counters["cohorts"] = Cohorts(beta);
 }
 BENCHMARK(BM_EmpiricalThresholdCrossover)
     ->Arg(2)
@@ -127,10 +135,8 @@ void BM_F1_Print(benchmark::State& state) {
               "Bitstogram Delta", "ratio");
   for (int lb = 2; lb <= 20; lb += 3) {
     const double beta = std::pow(2.0, -lb);
-    auto pes = std::move(PrivateExpanderSketch::Create(PesConfig(beta))).value();
-    auto bits = std::move(Bitstogram::Create(BitsConfig(beta))).value();
-    const double tp = pes.DetectionThreshold(kN);
-    const double tb = bits.DetectionThreshold(kN);
+    const double tp = Delta(PesConfig(beta));
+    const double tb = Delta(BitsConfig(beta));
     std::printf("2^-%-7d %16.0f %16.0f %10.2f\n", lb, tp, tb, tb / tp);
   }
   std::printf("shape: PES flat in beta (paper: sqrt(n log(|X|/beta)) with\n"

@@ -62,23 +62,23 @@ BENCHMARK(BM_HashtogramErrorVsN)
 // End-to-end PES error at matched relative planted mass.
 void BM_PesErrorVsN(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
-  PesParams p;
-  p.domain_bits = 16;
-  p.epsilon = 4.0;
-  p.num_coords = 8;
-  p.hash_range = 16;
-  p.expander_degree = 4;
-  auto pes = std::move(PrivateExpanderSketch::Create(p)).value();
+  ProtocolConfig pes("private_expander_sketch");
+  pes.SetUint("domain_bits", 16)
+      .SetDouble("eps", 4.0)
+      .SetUint("num_coords", 8)
+      .SetUint("hash_range", 16)
+      .SetUint("expander_degree", 4);
   const Workload w = MakePlantedWorkload(n, 16, {0.3, 0.2}, 77 + n);
   double err = 0;
   for (auto _ : state) {
-    const auto res = std::move(pes.Run(w.database, 9)).value();
+    const auto res = RunBatch(pes, w.database, 9).value();
     const auto eval = EvaluateHeavyHitters(w.database, res, w.heavy[1].second);
     err = eval.max_estimate_error;
   }
   state.counters["max_err"] = err;
   state.counters["err/sqrt(n)"] = err / std::sqrt(static_cast<double>(n));
-  state.counters["Delta_theory"] = pes.DetectionThreshold(n);
+  state.counters["Delta_theory"] =
+      CreateAggregator(pes).value()->DetectionThreshold(n).value();
 }
 BENCHMARK(BM_PesErrorVsN)
     ->Arg(1 << 16)

@@ -1,6 +1,7 @@
 // Experiment T1 — Table 1 of the paper: server time, user time, server
 // memory, communication/user, public randomness/user, and worst-case error
-// for PrivateExpanderSketch vs Bitstogram [3] vs Bassily-Smith [4].
+// for PrivateExpanderSketch vs Bitstogram [3] vs Bassily-Smith [4], each
+// measured on the served registry Aggregator by RunBatch.
 //
 // The absolute numbers are simulator-scale; the *shape* matches Table 1:
 // PES and Bitstogram are O~(n) server / O~(1) user / O~(sqrt n) memory,
@@ -43,22 +44,34 @@ void ReportRow(benchmark::State& state, const HeavyHitterResult& res,
           : 1.0;
 }
 
-void BM_Table1_PrivateExpanderSketch(benchmark::State& state) {
+// Every row runs the protocol's registry Aggregator through RunBatch.
+ProtocolConfig Config(const char* protocol) {
+  ProtocolConfig c(protocol);
+  c.SetUint("domain_bits", kDomainBits)
+      .SetDouble("eps", kEps)
+      .SetDouble("beta", kBeta);
+  return c;
+}
+
+ProtocolConfig PesConfig() {
+  ProtocolConfig c = Config("private_expander_sketch");
+  c.SetUint("num_coords", 8).SetUint("hash_range", 16).SetUint(
+      "expander_degree", 4);
+  return c;
+}
+
+void RunRow(benchmark::State& state, const ProtocolConfig& config) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
-  PesParams p;
-  p.domain_bits = kDomainBits;
-  p.epsilon = kEps;
-  p.beta = kBeta;
-  p.num_coords = 8;
-  p.hash_range = 16;
-  p.expander_degree = 4;
-  auto pes = std::move(PrivateExpanderSketch::Create(p)).value();
   const Workload w = MakeDb(n);
   HeavyHitterResult res;
   for (auto _ : state) {
-    res = std::move(pes.Run(w.database, 7)).value();
+    res = RunBatch(config, w.database, 7).value();
   }
   ReportRow(state, res, w);
+}
+
+void BM_Table1_PrivateExpanderSketch(benchmark::State& state) {
+  RunRow(state, PesConfig());
 }
 BENCHMARK(BM_Table1_PrivateExpanderSketch)
     ->Arg(1 << 16)
@@ -68,18 +81,7 @@ BENCHMARK(BM_Table1_PrivateExpanderSketch)
     ->Iterations(1);
 
 void BM_Table1_Bitstogram(benchmark::State& state) {
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  BitstogramParams p;
-  p.domain_bits = kDomainBits;
-  p.epsilon = kEps;
-  p.beta = kBeta;
-  auto proto = std::move(Bitstogram::Create(p)).value();
-  const Workload w = MakeDb(n);
-  HeavyHitterResult res;
-  for (auto _ : state) {
-    res = std::move(proto.Run(w.database, 7)).value();
-  }
-  ReportRow(state, res, w);
+  RunRow(state, Config("bitstogram"));
 }
 BENCHMARK(BM_Table1_Bitstogram)
     ->Arg(1 << 16)
@@ -89,18 +91,7 @@ BENCHMARK(BM_Table1_Bitstogram)
     ->Iterations(1);
 
 void BM_Table1_TreeHist(benchmark::State& state) {
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  TreeHistParams p;
-  p.domain_bits = kDomainBits;
-  p.epsilon = kEps;
-  p.beta = kBeta;
-  auto proto = std::move(TreeHist::Create(p)).value();
-  const Workload w = MakeDb(n);
-  HeavyHitterResult res;
-  for (auto _ : state) {
-    res = std::move(proto.Run(w.database, 7)).value();
-  }
-  ReportRow(state, res, w);
+  RunRow(state, Config("treehist"));
 }
 BENCHMARK(BM_Table1_TreeHist)
     ->Arg(1 << 16)
@@ -110,18 +101,7 @@ BENCHMARK(BM_Table1_TreeHist)
     ->Iterations(1);
 
 void BM_Table1_SuccinctHist(benchmark::State& state) {
-  const uint64_t n = static_cast<uint64_t>(state.range(0));
-  SuccinctHistParams p;
-  p.domain_bits = kDomainBits;
-  p.epsilon = kEps;
-  p.beta = kBeta;
-  auto proto = std::move(SuccinctHist::Create(p)).value();
-  const Workload w = MakeDb(n);
-  HeavyHitterResult res;
-  for (auto _ : state) {
-    res = std::move(proto.Run(w.database, 7)).value();
-  }
-  ReportRow(state, res, w);
+  RunRow(state, Config("succinct_hist"));
 }
 // The domain scan is Theta(n 2^D): keep n modest (the point IS the blowup).
 BENCHMARK(BM_Table1_SuccinctHist)
@@ -137,29 +117,9 @@ void BM_Table1_Print(benchmark::State& state) {
   const uint64_t n = 1 << 16;
   const Workload w = MakeDb(n);
 
-  PesParams pp;
-  pp.domain_bits = kDomainBits;
-  pp.epsilon = kEps;
-  pp.beta = kBeta;
-  pp.num_coords = 8;
-  pp.hash_range = 16;
-  pp.expander_degree = 4;
-  auto pes = std::move(PrivateExpanderSketch::Create(pp)).value();
-  const auto r1 = std::move(pes.Run(w.database, 7)).value();
-
-  BitstogramParams bp;
-  bp.domain_bits = kDomainBits;
-  bp.epsilon = kEps;
-  bp.beta = kBeta;
-  auto bits = std::move(Bitstogram::Create(bp)).value();
-  const auto r2 = std::move(bits.Run(w.database, 7)).value();
-
-  SuccinctHistParams sp;
-  sp.domain_bits = kDomainBits;
-  sp.epsilon = kEps;
-  sp.beta = kBeta;
-  auto sh = std::move(SuccinctHist::Create(sp)).value();
-  const auto r3 = std::move(sh.Run(w.database, 7)).value();
+  const auto r1 = RunBatch(PesConfig(), w.database, 7).value();
+  const auto r2 = RunBatch(Config("bitstogram"), w.database, 7).value();
+  const auto r3 = RunBatch(Config("succinct_hist"), w.database, 7).value();
 
   const auto e1 = EvaluateHeavyHitters(w.database, r1, w.heavy[1].second);
   const auto e2 = EvaluateHeavyHitters(w.database, r2, w.heavy[1].second);
@@ -176,6 +136,7 @@ void BM_Table1_Print(benchmark::State& state) {
       r3.metrics.server_seconds);
   row("user time (us)", r1.metrics.UserSecondsAvg() * 1e6,
       r2.metrics.UserSecondsAvg() * 1e6, r3.metrics.UserSecondsAvg() * 1e6);
+  // Server memory is the serialized aggregation state (SerializeState).
   row("server memory (KB)", r1.metrics.server_memory_bytes / 1e3,
       r2.metrics.server_memory_bytes / 1e3,
       r3.metrics.server_memory_bytes / 1e3);

@@ -30,15 +30,14 @@ int main() {
     w.database.push_back(DomainItem::FromString(buf, kBits));
   }
 
-  PesParams params;
-  params.domain_bits = kBits;
-  params.epsilon = 4.0;
-  params.beta = 1e-3;
-  auto pes = std::move(PrivateExpanderSketch::Create(params)).value();
-  const auto result = std::move(pes.Run(w.database, 3)).value();
+  const double eps = 4.0;
+  ProtocolConfig pes("private_expander_sketch");
+  pes.SetUint("domain_bits", kBits).SetDouble("eps", eps).SetDouble("beta",
+                                                                    1e-3);
+  const auto result = RunBatch(pes, w.database, 3).value();
 
   std::printf("discovered trending words (n=%llu keyboards, eps=%.1f):\n",
-              static_cast<unsigned long long>(n), params.epsilon);
+              static_cast<unsigned long long>(n), eps);
   for (const auto& entry : result.entries) {
     std::printf("  %-10s ~%.0f users\n", entry.item.ToString(kBits).c_str(),
                 entry.estimate);
@@ -50,7 +49,7 @@ int main() {
   std::printf("\nfrequency-oracle spot checks (Theorem 3.7 Hashtogram):\n");
   HashtogramParams hp;
   hp.beta = 1e-3;
-  Hashtogram oracle(n, params.epsilon, hp, 17);
+  Hashtogram oracle(n, eps, hp, 17);
   Rng coins(19);
   for (uint64_t i = 0; i < n; ++i) {
     oracle.Aggregate(i, oracle.Encode(i, w.database[static_cast<size_t>(i)],

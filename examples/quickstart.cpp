@@ -19,29 +19,28 @@ int main() {
       MakePlantedWorkload(n, /*domain_bits=*/64, {0.30, 0.20, 0.15},
                           /*seed=*/2024);
 
-  // 2. Configure the protocol. epsilon is the per-user privacy budget;
-  //    beta the failure probability. Everything else has paper defaults.
-  PesParams params;
-  params.domain_bits = 64;
-  params.epsilon = 4.0;
-  params.beta = 1e-3;
-  auto protocol_or = PrivateExpanderSketch::Create(params);
+  // 2. Configure the protocol. eps is the per-user privacy budget; beta
+  //    the failure probability. Everything else has paper defaults.
+  const double eps = 4.0;
+  ProtocolConfig config("private_expander_sketch");
+  config.SetUint("domain_bits", 64).SetDouble("eps", eps).SetDouble("beta",
+                                                                    1e-3);
+  auto protocol_or = CreateAggregator(config);
   if (!protocol_or.ok()) {
     std::fprintf(stderr, "config error: %s\n",
                  protocol_or.status().ToString().c_str());
     return 1;
   }
-  auto protocol = std::move(protocol_or).value();
+  const double delta = protocol_or.value()->DetectionThreshold(n).value();
 
-  std::printf("PrivateExpanderSketch: eps=%.1f, |X|=2^64, n=%llu\n",
-              params.epsilon, static_cast<unsigned long long>(n));
+  std::printf("PrivateExpanderSketch: eps=%.1f, |X|=2^64, n=%llu\n", eps,
+              static_cast<unsigned long long>(n));
   std::printf("detection threshold Delta ~ %.0f users (%.1f%% of n)\n\n",
-              protocol.DetectionThreshold(n),
-              100.0 * protocol.DetectionThreshold(n) / n);
+              delta, 100.0 * delta / n);
 
   // 3. Run: every user locally randomizes its item (eps-LDP) and sends one
   //    short message; the server decodes the heavy hitters.
-  auto result_or = protocol.Run(workload.database, /*seed=*/42);
+  auto result_or = RunBatch(config, workload.database, /*seed=*/42);
   if (!result_or.ok()) {
     std::fprintf(stderr, "run error: %s\n",
                  result_or.status().ToString().c_str());

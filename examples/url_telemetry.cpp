@@ -36,19 +36,19 @@ int main() {
     w.database.push_back(DomainItem::FromString(buf, kBits));
   }
 
-  PesParams params;
-  params.domain_bits = kBits;
-  params.epsilon = 4.0;
-  params.beta = 1e-3;
-  params.num_coords = 32;
-  auto pes = std::move(PrivateExpanderSketch::Create(params)).value();
+  const double eps = 4.0;
+  ProtocolConfig pes("private_expander_sketch");
+  pes.SetUint("domain_bits", kBits)
+      .SetDouble("eps", eps)
+      .SetDouble("beta", 1e-3)
+      .SetUint("num_coords", 32);
 
   std::printf("URL telemetry over n=%llu browsers (eps=%.1f, |X|=2^%d)\n",
-              static_cast<unsigned long long>(n), params.epsilon, kBits);
+              static_cast<unsigned long long>(n), eps, kBits);
   std::printf("detection threshold: %.0f reports\n\n",
-              pes.DetectionThreshold(n));
+              CreateAggregator(pes).value()->DetectionThreshold(n).value());
 
-  const auto result = std::move(pes.Run(w.database, 11)).value();
+  const auto result = RunBatch(pes, w.database, 11).value();
 
   std::printf("discovered homepages:\n");
   std::printf("%-24s %12s %12s\n", "url", "estimate", "true");

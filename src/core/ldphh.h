@@ -4,9 +4,11 @@
 /// ldphh reproduces "Heavy Hitters and the Structure of Local Privacy"
 /// (Bun, Nelson, Stemmer — PODS 2018). The primary entry points:
 ///
-///  - `PrivateExpanderSketch` (src/protocols/private_expander_sketch.h):
-///    the paper's optimal-error eps-LDP heavy-hitters protocol.
-///  - `Bitstogram`, `SuccinctHist`, `FreqScan`: the baselines of Table 1.
+///  - `CreateAggregator` (src/protocols/registry.h): every protocol by name,
+///    including the paper's optimal-error `private_expander_sketch` and the
+///    Table 1 baselines `bitstogram`, `treehist`, `succinct_hist`;
+///    `RunBatch` (src/protocols/run_batch.h) runs one over a database.
+///  - `FreqScan`: the small-domain reference protocol.
 ///  - `Hashtogram`, `HadamardResponseFO`, `DirectEncodingFO`,
 ///    `UnaryEncodingFO`, `OlhFO`: frequency oracles (Definition 3.2).
 ///  - Section 4-7 structural results: `AdvancedGroupositionEpsilon`,
@@ -40,14 +42,11 @@
 #include "src/ldp/privacy_loss.h"           // IWYU pragma: export
 #include "src/ldp/randomizer.h"             // IWYU pragma: export
 #include "src/protocols/aggregator.h"       // IWYU pragma: export
-#include "src/protocols/bitstogram.h"       // IWYU pragma: export
 #include "src/protocols/freq_scan.h"        // IWYU pragma: export
 #include "src/protocols/heavy_hitters.h"    // IWYU pragma: export
-#include "src/protocols/private_expander_sketch.h"  // IWYU pragma: export
 #include "src/protocols/protocol_config.h"  // IWYU pragma: export
 #include "src/protocols/registry.h"         // IWYU pragma: export
-#include "src/protocols/succinct_hist.h"    // IWYU pragma: export
-#include "src/protocols/treehist.h"         // IWYU pragma: export
+#include "src/protocols/run_batch.h"        // IWYU pragma: export
 #include "src/server/checkpoint_log.h"      // IWYU pragma: export
 #include "src/server/epoch_manager.h"       // IWYU pragma: export
 #include "src/server/report_codec.h"        // IWYU pragma: export

@@ -18,10 +18,11 @@
 ///     *not* enqueued (the server's all-or-nothing TrySubmit refused it);
 ///     the client backs off and resends the same payload. On an IO error
 ///     or server drop it reconnects and resends every unacked frame.
-///     Delivery is therefore *at-least-once*: a crash between enqueue and
-///     ack can duplicate a batch on reconnect. LDP reports are unordered
-///     and duplicates only perturb counts by one report's worth, so this
-///     is the right trade for a telemetry pipeline (see docs/server.md).
+///     Delivery is therefore *at-least-once*: every frame the server
+///     enqueued but had not acked when the connection dropped is counted
+///     again — up to `pipeline_window` whole batches (64 by default), each
+///     of which adds all of its reports a second time. Nothing on the
+///     server detects the replay (see docs/server.md).
 ///
 /// Not thread-safe: one ReportClient per producer thread.
 

@@ -93,6 +93,20 @@ class Aggregator {
 
   /// Reports aggregated into this instance so far (merged counts add).
   virtual uint64_t ReportCount() const = 0;
+
+  /// Definition 3.1's Delta at \p n reports: the smallest frequency the
+  /// protocol reliably lists, with this implementation's constants. Only
+  /// heavy-hitter protocols have one; frequency oracles fail with
+  /// kFailedPrecondition.
+  virtual StatusOr<double> DetectionThreshold(uint64_t /*n*/) const {
+    return Status::FailedPrecondition(Name() +
+                                      ": no detection threshold (not a "
+                                      "heavy-hitter protocol)");
+  }
+
+  /// Table 1's public randomness per user: the bits of public coins one
+  /// client expands to encode. 0 where the protocol does not account it.
+  virtual uint64_t PublicRandomBitsPerUser() const { return 0; }
 };
 
 /// The EstimateTopK ordering: estimate descending, item ascending.

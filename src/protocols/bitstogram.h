@@ -10,6 +10,9 @@
 /// the error that PrivateExpanderSketch removes. This implementation shares
 /// the frequency-oracle machinery with PES so the F1 comparison isolates
 /// exactly that reduction difference.
+///
+/// The protocol itself is the `bitstogram` registry Aggregator
+/// (src/protocols/hh_serving.cc); this header holds its decode.
 
 #ifndef LDPHH_PROTOCOLS_BITSTOGRAM_H_
 #define LDPHH_PROTOCOLS_BITSTOGRAM_H_
@@ -17,57 +20,13 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bit_util.h"
 #include "src/freq/hadamard_response.h"
-#include "src/freq/hashtogram.h"
-#include "src/protocols/heavy_hitters.h"
+#include "src/hashing/kwise_hash.h"
 
 namespace ldphh {
 
-/// Tuning parameters for Bitstogram.
-struct BitstogramParams {
-  int domain_bits = 64;
-  double epsilon = 2.0;
-  double beta = 1e-3;
-
-  int hash_range = 0;   ///< Yb; 0 = auto next_pow2(2 sqrt(n)).
-  int cohorts = 0;      ///< rho; 0 = auto max(1, ceil(log2(1/beta))).
-  double threshold_sigmas = 4.0;
-  int list_cap_per_cohort = 64;
-
-  /// Server aggregation shards (>= 1). With S > 1 the server aggregates
-  /// reports on S threads over per-shard oracle replicas and merges them;
-  /// the result is bit-for-bit identical to the single-threaded run.
-  int num_shards = 1;
-
-  HashtogramParams global_fo;
-};
-
-/// \brief The [3] baseline protocol.
-class Bitstogram final : public HeavyHitterProtocol {
- public:
-  static StatusOr<Bitstogram> Create(const BitstogramParams& params);
-
-  StatusOr<HeavyHitterResult> Run(const std::vector<DomainItem>& database,
-                                  uint64_t seed) override;
-  std::string Name() const override { return "bitstogram"; }
-  double Epsilon() const override { return params_.epsilon; }
-
-  /// Detection threshold analogue of PES::DetectionThreshold:
-  /// ~4.5 c_{eps/2} sqrt(n * rho * D) — note the sqrt(rho) = sqrt(log 1/beta)
-  /// factor the paper's Theorem 3.3 charges.
-  double DetectionThreshold(uint64_t n) const;
-
-  int cohorts() const { return params_.cohorts; }
-  const BitstogramParams& params() const { return params_; }
-
- private:
-  explicit Bitstogram(const BitstogramParams& params) : params_(params) {}
-
-  BitstogramParams params_;
-};
-
-/// Candidate reconstruction (the server decode step), shared by Run and the
-/// streaming serving aggregator (src/protocols/hh_serving.h): per cohort,
+/// Candidate reconstruction (the server decode step): per cohort,
 /// per hash value, majority bit at every position; keep hash values whose
 /// support count clears \p tau and whose reconstructed item hashes back to
 /// its own cell. \p cell_fo must be finalized, laid out

@@ -12,7 +12,10 @@
 #define LDPHH_PROTOCOLS_FREQ_SCAN_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
+#include "src/common/status.h"
 #include "src/protocols/heavy_hitters.h"
 
 namespace ldphh {
@@ -27,14 +30,16 @@ struct FreqScanParams {
 };
 
 /// \brief Frequency-oracle scan protocol.
-class FreqScan final : public HeavyHitterProtocol {
+class FreqScan final {
  public:
   static StatusOr<FreqScan> Create(const FreqScanParams& params);
 
+  /// Executes the protocol over the database (user i holds database[i]);
+  /// \p seed derives the users' private coins.
   StatusOr<HeavyHitterResult> Run(const std::vector<DomainItem>& database,
-                                  uint64_t seed) override;
-  std::string Name() const override { return "freq-scan"; }
-  double Epsilon() const override { return params_.epsilon; }
+                                  uint64_t seed);
+  std::string Name() const { return "freq-scan"; }
+  double Epsilon() const { return params_.epsilon; }
 
   /// Threshold ~ threshold_sigmas c_eps sqrt(n).
   double DetectionThreshold(uint64_t n) const;

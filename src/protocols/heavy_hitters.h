@@ -1,15 +1,15 @@
 /// \file heavy_hitters.h
-/// \brief The heavy-hitters problem interface (Definition 3.1) and the
-/// evaluation helpers that check a protocol's output against it.
+/// \brief The heavy-hitters output (Definition 3.1) and the evaluation
+/// helpers that check a protocol's output against it. Protocols run
+/// through `RunBatch` (run_batch.h) or the serving stack.
 
 #ifndef LDPHH_PROTOCOLS_HEAVY_HITTERS_H_
 #define LDPHH_PROTOCOLS_HEAVY_HITTERS_H_
 
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/bit_util.h"
-#include "src/common/status.h"
 #include "src/protocols/metrics.h"
 
 namespace ldphh {
@@ -24,24 +24,6 @@ struct HeavyHitterEntry {
 struct HeavyHitterResult {
   std::vector<HeavyHitterEntry> entries;
   ProtocolMetrics metrics;
-};
-
-/// \brief A (simulated) distributed LDP heavy-hitters protocol.
-///
-/// `Run` executes the whole protocol over the distributed database: per-user
-/// encoding with per-user private coins, server aggregation, and decoding.
-class HeavyHitterProtocol {
- public:
-  virtual ~HeavyHitterProtocol() = default;
-
-  /// Executes the protocol; \p seed derives public and private randomness.
-  virtual StatusOr<HeavyHitterResult> Run(const std::vector<DomainItem>& database,
-                                          uint64_t seed) = 0;
-
-  /// Protocol name for reports.
-  virtual std::string Name() const = 0;
-  /// The end-to-end privacy parameter.
-  virtual double Epsilon() const = 0;
 };
 
 /// Evaluation of a result against the true frequencies (Definition 3.1).

@@ -281,6 +281,22 @@ class BitstogramAggregator final : public ConfiguredAggregator {
     return SortTopK(std::move(entries), k);
   }
 
+  /// ~4.5 c_{eps/2} sqrt(n rho D): the sqrt(rho) = sqrt(log 1/beta) factor
+  /// is the one the paper's Theorem 3.3 charges.
+  StatusOr<double> DetectionThreshold(uint64_t n) const override {
+    return 4.5 * CEps(common_.eps / 2.0) *
+           std::sqrt(static_cast<double>(n) * static_cast<double>(cohorts_) *
+                     static_cast<double>(common_.domain_bits));
+  }
+
+  /// The cohort hashes and the Hashtogram row hashes (61-bit words), plus
+  /// the group-assignment word.
+  uint64_t PublicRandomBitsPerUser() const override {
+    return (static_cast<uint64_t>(2 * cohorts_ + 4) +
+            6 * static_cast<uint64_t>(global_->rows()) + 1) *
+           61;
+  }
+
  private:
   int GroupOf(uint64_t user_index) const {
     return static_cast<int>(Mix64(group_seed_ ^ user_index) %
@@ -423,6 +439,23 @@ class TreeHistAggregator final : public ConfiguredAggregator {
     return SortTopK(std::move(entries), k);
   }
 
+  /// ~threshold_sigmas c_{eps/2} sqrt(n D R), R the per-level oracle's row
+  /// count (the log(1/beta) amplification).
+  StatusOr<double> DetectionThreshold(uint64_t n) const override {
+    return threshold_sigmas_ * CEps(common_.eps / 2.0) *
+           std::sqrt(static_cast<double>(n) *
+                     static_cast<double>(common_.domain_bits) *
+                     static_cast<double>(level_fo_[0].rows()));
+  }
+
+  /// The level and global Hashtogram row hashes (61-bit words), plus the
+  /// level-assignment words.
+  uint64_t PublicRandomBitsPerUser() const override {
+    return (6 * static_cast<uint64_t>(level_fo_[0].rows()) +
+            6 * static_cast<uint64_t>(global_->rows()) + 2) *
+           61;
+  }
+
  private:
   int LevelOf(uint64_t user_index) const {
     return static_cast<int>(Mix64(level_assign_seed_ ^ user_index) %
@@ -450,6 +483,7 @@ class PesAggregator final : public ConfiguredAggregator {
     int num_coords = 0;
     int num_buckets = 0;
     int y_range = 0;
+    int expander_degree = 0;
     int payload_bits = 0;
     int list_cap = 0;
     double threshold_sigmas = 0.0;
@@ -469,6 +503,7 @@ class PesAggregator final : public ConfiguredAggregator {
         num_coords_(init.num_coords),
         num_buckets_(init.num_buckets),
         y_range_(init.y_range),
+        expander_degree_(init.expander_degree),
         payload_bits_(init.payload_bits),
         list_cap_(init.list_cap),
         threshold_sigmas_(init.threshold_sigmas),
@@ -583,6 +618,29 @@ class PesAggregator final : public ConfiguredAggregator {
     return SortTopK(std::move(entries), k);
   }
 
+  /// The Theorem 3.13 item-2 guarantee with this implementation's
+  /// constants: ~4.5 c_{eps/2} sqrt(n M Lz). The paper's asymptotic form is
+  /// O((1/eps) sqrt(n log(|X|/beta))); M * Lz = O(log |X|) realizes the
+  /// log |X| factor.
+  StatusOr<double> DetectionThreshold(uint64_t n) const override {
+    return 4.5 * CEps(common_.eps / 2.0) *
+           std::sqrt(static_cast<double>(n) *
+                     static_cast<double>(num_coords_) *
+                     static_cast<double>(payload_bits_));
+  }
+
+  /// The bucket-hash coefficients, the coordinate hashes and expander
+  /// slots, and the Hashtogram row hashes (all 61-bit words), plus the
+  /// group-assignment word.
+  uint64_t PublicRandomBitsPerUser() const override {
+    const uint64_t words =
+        static_cast<uint64_t>(bucket_hash_->independence() + 4) +   // g
+        static_cast<uint64_t>(2 * num_coords_ + 4) +                // h_1..h_M
+        static_cast<uint64_t>(num_coords_ * expander_degree_) +     // Gamma
+        6 * static_cast<uint64_t>(global_->rows()) + 1;             // Hashtogram
+    return words * 61;
+  }
+
  private:
   int GroupOf(uint64_t user_index) const {
     return static_cast<int>(Mix64(group_seed_ ^ user_index) %
@@ -593,6 +651,7 @@ class PesAggregator final : public ConfiguredAggregator {
   int num_coords_;
   int num_buckets_;
   int y_range_;
+  int expander_degree_;
   int payload_bits_;
   int list_cap_;
   double threshold_sigmas_;
@@ -693,15 +752,24 @@ class SuccinctHistAggregator final : public ConfiguredAggregator {
 
   StatusOr<std::vector<HeavyHitterEntry>> EstimateTopK(size_t k) override {
     finalized_ = true;
-    const double tau =
-        threshold_sigmas_ * CEps(common_.eps) *
-        std::sqrt(static_cast<double>(count_) *
-                  (static_cast<double>(common_.domain_bits) * std::log(2.0) +
-                   std::log(1.0 / common_.beta)));
-    std::vector<HeavyHitterEntry> entries =
-        SuccinctHistScan(sign_seed_, reports_, common_.domain_bits,
-                         common_.eps, tau, list_cap_);
+    std::vector<HeavyHitterEntry> entries = SuccinctHistScan(
+        sign_seed_, reports_, common_.domain_bits, common_.eps,
+        DetectionThreshold(count_).value(), list_cap_);
     return SortTopK(std::move(entries), k);
+  }
+
+  /// ~threshold_sigmas c_eps sqrt(n (D ln 2 + ln(1/beta))).
+  StatusOr<double> DetectionThreshold(uint64_t n) const override {
+    return threshold_sigmas_ * CEps(common_.eps) *
+           std::sqrt(static_cast<double>(n) *
+                     (static_cast<double>(common_.domain_bits) * std::log(2.0) +
+                      std::log(1.0 / common_.beta)));
+  }
+
+  /// Without random access a user materializes the sign table over X
+  /// (Table 1's O~(n^1.5) at |X| = n^1.5): accounted, not simulated.
+  uint64_t PublicRandomBitsPerUser() const override {
+    return uint64_t{1} << common_.domain_bits;
   }
 
  private:
@@ -948,6 +1016,7 @@ StatusOr<std::unique_ptr<Aggregator>> MakePesAggregator(
   init.num_coords = num_coords;
   init.num_buckets = num_buckets;
   init.y_range = y_range;
+  init.expander_degree = expander_degree;
   init.payload_bits = lz;
   init.list_cap = list_cap;
   init.threshold_sigmas = sigmas;

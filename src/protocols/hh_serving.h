@@ -3,10 +3,11 @@
 /// protocols, so the server stack serves them exactly like a frequency
 /// oracle.
 ///
-/// The batch `HeavyHitterProtocol::Run` simulations execute a whole
-/// protocol in one call; a serving deployment instead streams one
-/// `WireReport` per user through `ShardedAggregator`/`EpochManager`. These
-/// implementations split each protocol at the paper's natural seam:
+/// These are the only implementations of the four protocols: a serving
+/// deployment streams one `WireReport` per user through
+/// `ShardedAggregator`/`EpochManager`, and the Table 1 experiments drive the
+/// same Aggregators in one call through `RunBatch` (run_batch.h). Each
+/// protocol is split at the paper's natural seam:
 ///
 ///   - All public randomness (hashes, codes, group assignment) derives from
 ///     the config's `seed`, so clients and any number of server instances
@@ -22,6 +23,8 @@
 ///     bitstogram.h / treehist.h / private_expander_sketch.h /
 ///     succinct_hist.h) against the aggregated state, with thresholds
 ///     computed from the actually aggregated report count.
+///   - `DetectionThreshold(n)` and `PublicRandomBitsPerUser()` give the
+///     protocol's Delta at n reports and Table 1's public-randomness row.
 ///
 /// Config grammars (defaults bracketed; auto fields resolve into config()):
 ///

@@ -20,87 +20,25 @@
 ///      clusters -> RS errors-and-erasures) returns the candidate set H^b.
 ///   5. The global Hashtogram estimates f_S(x) for every candidate;
 ///      the output is Est = {(x, f^(x))}.
+///
+/// The protocol itself is the `private_expander_sketch` registry Aggregator
+/// (src/protocols/hh_serving.cc); this header holds steps 3-4 of its decode.
 
 #ifndef LDPHH_PROTOCOLS_PRIVATE_EXPANDER_SKETCH_H_
 #define LDPHH_PROTOCOLS_PRIVATE_EXPANDER_SKETCH_H_
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/codes/url_code.h"
+#include "src/common/bit_util.h"
+#include "src/common/random.h"
 #include "src/freq/hadamard_response.h"
-#include "src/freq/hashtogram.h"
 #include "src/hashing/kwise_hash.h"
-#include "src/protocols/heavy_hitters.h"
 
 namespace ldphh {
 
-/// Tuning parameters for PrivateExpanderSketch.
-struct PesParams {
-  int domain_bits = 64;      ///< log2 |X|.
-  double epsilon = 2.0;      ///< Total privacy budget (split eps/2 + eps/2).
-  double beta = 1e-3;        ///< Failure probability target.
-
-  int num_coords = 0;        ///< M; 0 = auto from domain_bits.
-  int hash_range = 32;       ///< Y (power of two).
-  int expander_degree = 4;   ///< d (even).
-  int num_buckets = 0;       ///< B; 0 = auto ~ eps sqrt(n)/log^{3/2}|X|.
-  double bucket_mult = 1.0;  ///< Scales the auto B.
-
-  double threshold_sigmas = 4.0;  ///< Step 3b: tau = this * sd(count noise).
-  int list_cap = 0;          ///< ell; 0 = auto 4 ceil(log2 |X|).
-  double alpha = 0.25;       ///< Code's tolerated bad-coordinate fraction.
-
-  /// Server aggregation shards (>= 1). With S > 1 the server aggregates
-  /// reports on S threads over per-shard oracle replicas and merges them;
-  /// the result is bit-for-bit identical to the single-threaded run (the
-  /// same contract as bitstogram/treehist).
-  int num_shards = 1;
-
-  HashtogramParams global_fo;  ///< Step 5 oracle tuning (beta auto-filled).
-};
-
-/// \brief The Section 3.3 protocol.
-class PrivateExpanderSketch final : public HeavyHitterProtocol {
- public:
-  /// Validates parameters and resolves the auto fields that do not depend
-  /// on n (M, list cap).
-  static StatusOr<PrivateExpanderSketch> Create(const PesParams& params);
-
-  StatusOr<HeavyHitterResult> Run(const std::vector<DomainItem>& database,
-                                  uint64_t seed) override;
-  std::string Name() const override { return "private-expander-sketch"; }
-  double Epsilon() const override { return params_.epsilon; }
-
-  /// \brief The smallest frequency the protocol reliably detects at n users
-  /// (the Theorem 3.13 item-2 guarantee, with this implementation's
-  /// constants): ~4.5 c_{eps/2} sqrt(n M Lz), where Lz is the payload width.
-  ///
-  /// The paper's asymptotic form is O((1/eps) sqrt(n log(|X|/beta)));
-  /// M * Lz = O(log |X|) realizes the log |X| factor.
-  double DetectionThreshold(uint64_t n) const;
-
-  /// Resolved M.
-  int num_coords() const { return params_.num_coords; }
-  /// Payload bits per coordinate (Lz).
-  int payload_bits() const { return payload_bits_; }
-  const PesParams& params() const { return params_; }
-
- private:
-  explicit PrivateExpanderSketch(const PesParams& params, UrlCodeParams code_params,
-                                 int payload_bits);
-
-  int ResolveBuckets(uint64_t n) const;
-
-  PesParams params_;
-  UrlCodeParams code_params_;
-  int payload_bits_;
-};
-
 /// Steps 3-4 of the server decode (candidate-list reconstruction + the
-/// Theorem 3.6 per-bucket decoder + bucket-hash verification), shared by
-/// Run and the streaming serving aggregator (src/protocols/hh_serving.h).
+/// Theorem 3.6 per-bucket decoder + bucket-hash verification).
 /// \p cell_fo must be finalized, laid out [m * payload_bits + j] over the
 /// cell domain [num_buckets] x [hash_range] x {0,1}. Returns verified
 /// candidates in recovery order, deduplicated.

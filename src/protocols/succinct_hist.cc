@@ -3,73 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/math_util.h"
-#include "src/common/random.h"
-#include "src/common/timer.h"
-
 namespace ldphh {
-
-StatusOr<SuccinctHist> SuccinctHist::Create(const SuccinctHistParams& params) {
-  if (params.domain_bits < 4 || params.domain_bits > 24) {
-    return Status::InvalidArgument(
-        "SuccinctHist: the full-domain scan needs domain_bits in [4, 24]");
-  }
-  if (params.epsilon <= 0.0) {
-    return Status::InvalidArgument("SuccinctHist: epsilon must be positive");
-  }
-  return SuccinctHist(params);
-}
-
-double SuccinctHist::DetectionThreshold(uint64_t n) const {
-  const double e = std::exp(params_.epsilon);
-  const double c = (e + 1.0) / (e - 1.0);
-  return params_.threshold_sigmas * c *
-         std::sqrt(static_cast<double>(n) *
-                   (static_cast<double>(params_.domain_bits) * std::log(2.0) +
-                    std::log(1.0 / params_.beta)));
-}
-
-StatusOr<HeavyHitterResult> SuccinctHist::Run(
-    const std::vector<DomainItem>& database, uint64_t seed) {
-  const uint64_t n = database.size();
-  if (n < 16) return Status::InvalidArgument("SuccinctHist: need >= 16 users");
-  const uint64_t domain = uint64_t{1} << params_.domain_bits;
-
-  const double e = std::exp(params_.epsilon);
-  const double keep = e / (e + 1.0);
-
-  Rng master(seed);
-  const uint64_t sign_seed = master();
-  Rng user_coins(master());
-
-  HeavyHitterResult result;
-  result.metrics.num_users = n;
-
-  std::vector<std::pair<uint64_t, int8_t>> reports;
-  reports.reserve(static_cast<size_t>(n));
-  Timer user_timer;
-  for (uint64_t i = 0; i < n; ++i) {
-    int bit = SuccinctHistSign(sign_seed, i, database[i]);
-    if (!user_coins.Bernoulli(keep)) bit = -bit;
-    reports.emplace_back(i, static_cast<int8_t>(bit));
-  }
-  result.metrics.user_seconds_total = user_timer.Seconds();
-  result.metrics.comm_bits_total = n;  // One bit each.
-  result.metrics.comm_bits_max_user = 1;
-
-  // Server: full-domain scan, Theta(n) work per domain element.
-  Timer server_timer;
-  const double tau = DetectionThreshold(n);
-  result.entries = SuccinctHistScan(sign_seed, reports, params_.domain_bits,
-                                    params_.epsilon, tau, params_.list_cap);
-  result.metrics.server_seconds = server_timer.Seconds();
-  result.metrics.server_memory_bytes =
-      reports.size() * sizeof(decltype(reports)::value_type);
-  // Without random access, a user materializes the sign table over X
-  // (Table 1's O~(n^1.5) with |X| = n^1.5): account, do not simulate.
-  result.metrics.public_random_bits_per_user = domain;
-  return result;
-}
 
 std::vector<HeavyHitterEntry> SuccinctHistScan(
     uint64_t sign_seed, const std::vector<std::pair<uint64_t, int8_t>>& reports,

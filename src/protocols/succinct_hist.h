@@ -12,6 +12,10 @@
 /// Table 1 is the cost of materializing the public randomness without
 /// random access (footnote 2), which we account for but do not burn cycles
 /// on — see EXPERIMENTS.md.
+///
+/// The protocol itself is the `succinct_hist` registry Aggregator
+/// (src/protocols/hh_serving.cc); this header holds its public sign and
+/// its decode.
 
 #ifndef LDPHH_PROTOCOLS_SUCCINCT_HIST_H_
 #define LDPHH_PROTOCOLS_SUCCINCT_HIST_H_
@@ -25,39 +29,9 @@
 
 namespace ldphh {
 
-/// Tuning parameters for the succinct-histogram baseline.
-struct SuccinctHistParams {
-  int domain_bits = 16;   ///< Scan cost is n * 2^domain_bits: keep small.
-  double epsilon = 2.0;
-  double beta = 1e-3;
-  double threshold_sigmas = 4.0;
-  int list_cap = 256;
-};
-
-/// \brief The [4] baseline protocol.
-class SuccinctHist final : public HeavyHitterProtocol {
- public:
-  static StatusOr<SuccinctHist> Create(const SuccinctHistParams& params);
-
-  StatusOr<HeavyHitterResult> Run(const std::vector<DomainItem>& database,
-                                  uint64_t seed) override;
-  std::string Name() const override { return "succinct-hist"; }
-  double Epsilon() const override { return params_.epsilon; }
-
-  /// Detection threshold ~ threshold_sigmas * c_eps sqrt(n (D + ln(1/beta))).
-  double DetectionThreshold(uint64_t n) const;
-
-  const SuccinctHistParams& params() const { return params_; }
-
- private:
-  explicit SuccinctHist(const SuccinctHistParams& params) : params_(params) {}
-
-  SuccinctHistParams params_;
-};
-
 /// The personal +-1 projection phi_i(x), derived from (seed, user, item).
 /// Public randomness: both the client encode and the server scan evaluate
-/// it, so it is shared by Run and the streaming serving aggregator.
+/// it.
 inline int SuccinctHistSign(uint64_t sign_seed, uint64_t user,
                             const DomainItem& x) {
   const uint64_t h = Mix64(sign_seed ^ Mix64(user + 1) ^ x.Fingerprint());
@@ -67,7 +41,7 @@ inline int SuccinctHistSign(uint64_t sign_seed, uint64_t user,
 /// The server decode: full-domain scan of f^(x) = c_eps sum_i b~_i phi_i(x)
 /// over the (user, report-bit) pairs, keeping estimates >= tau, capped at
 /// \p list_cap by estimate. Entries return sorted by estimate descending
-/// (ties: value ascending). Shared by Run and the serving aggregator.
+/// (ties: value ascending).
 std::vector<HeavyHitterEntry> SuccinctHistScan(
     uint64_t sign_seed, const std::vector<std::pair<uint64_t, int8_t>>& reports,
     int domain_bits, double epsilon, double tau, int list_cap);

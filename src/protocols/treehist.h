@@ -13,6 +13,9 @@
 /// log|X| adaptive levels; its error carries the same extra
 /// sqrt(log(1/beta)) factor relative to PrivateExpanderSketch, which makes
 /// it the second baseline for the F1 comparison.
+///
+/// The protocol itself is the `treehist` registry Aggregator
+/// (src/protocols/hh_serving.cc); this header holds its decode.
 
 #ifndef LDPHH_PROTOCOLS_TREEHIST_H_
 #define LDPHH_PROTOCOLS_TREEHIST_H_
@@ -20,54 +23,12 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/bit_util.h"
 #include "src/freq/hashtogram.h"
-#include "src/protocols/heavy_hitters.h"
 
 namespace ldphh {
 
-/// Tuning parameters for TreeHist.
-struct TreeHistParams {
-  int domain_bits = 64;
-  double epsilon = 2.0;
-  double beta = 1e-3;
-
-  double threshold_sigmas = 3.0;  ///< Survival test on per-level estimates.
-  int frontier_cap = 64;          ///< Max surviving prefixes per level.
-
-  /// Server aggregation shards (>= 1). With S > 1 the server aggregates
-  /// reports on S threads over per-shard oracle replicas and merges them;
-  /// the result is bit-for-bit identical to the single-threaded run.
-  int num_shards = 1;
-
-  HashtogramParams level_fo;   ///< Per-level oracle tuning (beta auto-fill).
-  HashtogramParams global_fo;  ///< Final estimation oracle tuning.
-};
-
-/// \brief The [3] prefix-tree baseline protocol.
-class TreeHist final : public HeavyHitterProtocol {
- public:
-  static StatusOr<TreeHist> Create(const TreeHistParams& params);
-
-  StatusOr<HeavyHitterResult> Run(const std::vector<DomainItem>& database,
-                                  uint64_t seed) override;
-  std::string Name() const override { return "treehist"; }
-  double Epsilon() const override { return params_.epsilon; }
-
-  /// Detection threshold analogue: ~sigmas c_{eps/2} sqrt(n D R) where R is
-  /// the per-level oracle's row count (the log(1/beta) amplification).
-  double DetectionThreshold(uint64_t n) const;
-
-  const TreeHistParams& params() const { return params_; }
-
- private:
-  explicit TreeHist(const TreeHistParams& params) : params_(params) {}
-
-  TreeHistParams params_;
-};
-
-/// Breadth-first frontier growth (the server decode step), shared by Run
-/// and the streaming serving aggregator (src/protocols/hh_serving.h). A
-/// level-l prefix survives iff its level oracle's estimate clears
+/// Breadth-first frontier growth (the server decode step). A level-l prefix survives iff its level oracle's estimate clears
 /// threshold_sigmas * c_eps * sqrt(n_l * rows); survivors spawn two
 /// children, capped at \p frontier_cap per level. \p level_fo must be
 /// finalized; \p level_counts[l] is the number of users assigned to level l.

@@ -991,8 +991,9 @@ void CheckpointStore::BackgroundLoop() {
       // On success, re-check immediately (a roll may have raced past the
       // trigger again). A failed pass parks until the next write wakes the
       // thread, so a persistent I/O error cannot busy-spin; the failure
-      // itself surfaces via Stats().compactions staying put.
-      if (st.ok()) continue;
+      // itself surfaces via Stats().compactions staying put. A stop request
+      // posted while the pass ran signalled nobody, so re-check it first.
+      if (st.ok() || stop_) continue;
     }
     work_cv_.Wait();
   }

@@ -8,8 +8,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -309,6 +312,71 @@ TEST_F(CheckpointStoreTest, SyncModeKnobControlsFsyncs) {
   }
   EXPECT_EQ(none_fs.file_sync_count(), 0u);
   EXPECT_EQ(none_fs.dir_sync_count(), 0u);
+}
+
+// In-memory filesystem on which the background compactor's output segment
+// cannot be created: a NewWritableFile from any thread but the one that built
+// the filesystem stalls until FailStalledCompaction(), then fails.
+class StallingCompactionFs : public FaultInjectingFileSystem {
+ public:
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    if (std::this_thread::get_id() == owner_) {
+      return FaultInjectingFileSystem::NewWritableFile(path);
+    }
+    if (!stalled_.exchange(true)) stalled_promise_.set_value();
+    release_.wait();
+    return Status::Internal("injected: compaction output cannot be created");
+  }
+
+  bool WaitUntilCompactionStalls(std::chrono::seconds deadline) {
+    return stalled_future_.wait_for(deadline) == std::future_status::ready;
+  }
+  void FailStalledCompaction() { release_promise_.set_value(); }
+
+ private:
+  const std::thread::id owner_ = std::this_thread::get_id();
+  std::atomic<bool> stalled_{false};
+  std::promise<void> stalled_promise_;
+  std::future<void> stalled_future_ = stalled_promise_.get_future();
+  std::promise<void> release_promise_;
+  std::shared_future<void> release_ = release_promise_.get_future().share();
+};
+
+// The destructor's stop request can land while a background compaction pass
+// runs, when nobody waits on the wake-up signal. If that pass then fails, the
+// background thread must still see the request: parking on the signal instead
+// would leave ~CheckpointStore joining it forever.
+TEST_F(CheckpointStoreTest, DestructionDuringFailingCompactionReturns) {
+  // Both leak if destruction hangs: the stuck threads still use them.
+  auto* ffs = new StallingCompactionFs;
+  CheckpointStoreOptions o = SmallSegments();
+  o.file_system = ffs;
+  o.background_compaction = true;
+  o.compaction_trigger = 2;
+  CheckpointStore* store = MustOpen(o).release();
+  for (uint64_t k = 0; k < 30; ++k) ASSERT_TRUE(store->Put(k, Blob(k)).ok());
+  ASSERT_TRUE(ffs->WaitUntilCompactionStalls(std::chrono::seconds(30)));
+
+  auto destroyed = std::make_shared<std::promise<void>>();
+  std::future<void> destroyed_future = destroyed->get_future();
+  std::thread destroyer([store, destroyed] {
+    delete store;
+    destroyed->set_value();
+  });
+  // Give the destructor time to post its stop request while the pass is
+  // stalled, then let the pass fail.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  ffs->FailStalledCompaction();
+  if (destroyed_future.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    // A hung destructor cannot be joined; detaching lets the rest of the
+    // suite run and report.
+    destroyer.detach();
+    FAIL() << "~CheckpointStore did not return after a failed compaction";
+  }
+  destroyer.join();
+  delete ffs;
 }
 
 TEST_F(CheckpointStoreTest, SegmentsWithoutManifestRefused) {

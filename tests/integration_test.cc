@@ -18,37 +18,55 @@ bool ResultContains(const HeavyHitterResult& r, const DomainItem& x) {
                      [&](const HeavyHitterEntry& e) { return e.item == x; });
 }
 
+ProtocolConfig Pes(int domain_bits, double beta = 1e-3) {
+  ProtocolConfig c("private_expander_sketch");
+  c.SetUint("domain_bits", static_cast<uint64_t>(domain_bits))
+      .SetDouble("eps", 4.0)
+      .SetDouble("beta", beta);
+  return c;
+}
+
+// The small-domain PES geometry used across these tests.
+ProtocolConfig SmallPes(int domain_bits, double beta = 1e-3) {
+  ProtocolConfig c = Pes(domain_bits, beta);
+  c.SetUint("num_coords", 8).SetUint("hash_range", 16).SetUint(
+      "expander_degree", 4);
+  return c;
+}
+
+HeavyHitterResult MustRun(const ProtocolConfig& config,
+                          const std::vector<DomainItem>& database,
+                          uint64_t seed) {
+  auto res_or = RunBatch(config, database, seed);
+  EXPECT_TRUE(res_or.ok()) << res_or.status().ToString();
+  return std::move(res_or).value();
+}
+
+double Threshold(const ProtocolConfig& config, uint64_t n) {
+  return CreateAggregator(config).value()->DetectionThreshold(n).value();
+}
+
 TEST(Integration, PesOn64BitDomainRecoversZipfHead) {
-  PesParams p;
-  p.domain_bits = 64;
-  p.epsilon = 4.0;
-  p.beta = 1e-3;
-  auto pes = std::move(PrivateExpanderSketch::Create(p)).value();
+  const ProtocolConfig pes = Pes(64);
   const uint64_t n = 1 << 20;
   // Zipf s=2 over 50 items: head fractions ~ 0.6, 0.15, 0.07, ...
   Workload w = MakeZipfWorkload(n, 64, 50, 2.0, 51);
-  const auto res = std::move(pes.Run(w.database, 37)).value();
+  const auto res = MustRun(pes, w.database, 37);
   // The top item is far above the detection threshold and must be found.
   EXPECT_TRUE(ResultContains(res, w.heavy[0].first));
   const auto eval = EvaluateHeavyHitters(
-      w.database, res, static_cast<uint64_t>(pes.DetectionThreshold(n)));
+      w.database, res, static_cast<uint64_t>(Threshold(pes, n)));
   EXPECT_EQ(eval.true_hitters_found, eval.true_hitters_total);
 }
 
 TEST(Integration, Definition31Compliance) {
   // Definition 3.1 with Delta = DetectionThreshold: every listed estimate
   // within Delta of truth; every x with f >= Delta listed; list not huge.
-  PesParams p;
-  p.domain_bits = 16;
-  p.epsilon = 4.0;
-  p.num_coords = 8;
-  p.hash_range = 16;
-  p.expander_degree = 4;
-  auto pes = std::move(PrivateExpanderSketch::Create(p)).value();
+  const ProtocolConfig pes = SmallPes(16);
   const uint64_t n = 1 << 18;
   Workload w = MakePlantedWorkload(n, 16, {0.3, 0.2, 0.17}, 53);
-  const auto res = std::move(pes.Run(w.database, 41)).value();
-  const uint64_t delta = static_cast<uint64_t>(pes.DetectionThreshold(n));
+  const auto res = MustRun(pes, w.database, 41);
+  const uint64_t delta = static_cast<uint64_t>(Threshold(pes, n));
   const auto eval = EvaluateHeavyHitters(w.database, res, delta);
   EXPECT_EQ(eval.true_hitters_found, eval.true_hitters_total);   // Recall.
   EXPECT_LE(eval.max_estimate_error, static_cast<double>(delta));  // Accuracy.
@@ -61,45 +79,29 @@ TEST(Integration, PesBeatsBitstogramDetectionAtStrictBeta) {
   // amplification needs rho = 10 splits, inflating its threshold; PES's
   // coordinate split is beta-independent. The paper's Table 1 error gap.
   const uint64_t n = 1 << 18;
-  PesParams pp;
-  pp.domain_bits = 16;
-  pp.epsilon = 4.0;
-  pp.beta = 1.0 / 1024.0;
-  pp.num_coords = 8;
-  pp.hash_range = 16;
-  pp.expander_degree = 4;
-  auto pes = std::move(PrivateExpanderSketch::Create(pp)).value();
-  BitstogramParams bp;
-  bp.domain_bits = 16;
-  bp.epsilon = 4.0;
-  bp.beta = 1.0 / 1024.0;
-  auto bits = std::move(Bitstogram::Create(bp)).value();
+  const auto bits = [](double beta) {
+    ProtocolConfig c("bitstogram");
+    c.SetUint("domain_bits", 16).SetDouble("eps", 4.0).SetDouble("beta", beta);
+    return c;
+  };
   // PES's M * Lz = 8 * 28 = 224 beats Bitstogram's rho * D = 160... at
   // this tiny D the split sizes are comparable; the decisive check is that
   // the Bitstogram threshold grows with log(1/beta) while PES's does not.
-  const double pes_t = pes.DetectionThreshold(n);
-  BitstogramParams bp6 = bp;
-  bp6.beta = 1.0 / (1 << 20);
-  auto bits6 = std::move(Bitstogram::Create(bp6)).value();
-  EXPECT_GT(bits6.DetectionThreshold(n), bits.DetectionThreshold(n) * 1.3);
-  PesParams pp6 = pp;
-  pp6.beta = 1.0 / (1 << 20);
-  auto pes6 = std::move(PrivateExpanderSketch::Create(pp6)).value();
-  EXPECT_NEAR(pes6.DetectionThreshold(n), pes_t, pes_t * 0.01);
+  const double pes_t = Threshold(SmallPes(16, 1.0 / 1024.0), n);
+  EXPECT_GT(Threshold(bits(1.0 / (1 << 20)), n),
+            Threshold(bits(1.0 / 1024.0), n) * 1.3);
+  EXPECT_NEAR(Threshold(SmallPes(16, 1.0 / (1 << 20)), n), pes_t,
+              pes_t * 0.01);
 }
 
 TEST(Integration, StringWorkloadRoundtrip) {
   // URLs through the full pipeline: 128-bit string items, recover and
   // decode back to the original strings.
-  PesParams p;
-  p.domain_bits = 128;
-  p.epsilon = 4.0;
-  p.num_coords = 32;
-  p.hash_range = 32;
-  p.expander_degree = 4;
-  auto pes = std::move(PrivateExpanderSketch::Create(p)).value();
+  ProtocolConfig pes = Pes(128);
+  pes.SetUint("num_coords", 32).SetUint("hash_range", 32).SetUint(
+      "expander_degree", 4);
   const uint64_t n = 1 << 20;
-  const double thr = pes.DetectionThreshold(n);
+  const double thr = Threshold(pes, n);
   ASSERT_LT(thr, 0.35 * n);  // Config sanity.
   const uint64_t heavy_count = static_cast<uint64_t>(1.3 * thr);
   std::vector<std::pair<std::string, uint64_t>> rows = {
@@ -110,7 +112,7 @@ TEST(Integration, StringWorkloadRoundtrip) {
   while (w.database.size() < n) {
     w.database.push_back(DomainItem(bg()));
   }
-  const auto res = std::move(pes.Run(w.database, 43)).value();
+  const auto res = MustRun(pes, w.database, 43);
   bool found0 = false, found1 = false;
   for (const auto& e : res.entries) {
     const std::string s = e.item.ToString(128);
@@ -131,14 +133,7 @@ TEST(Integration, FreqScanAgreesWithPesOnSmallDomain) {
   fp.epsilon = 4.0;
   auto fs = std::move(FreqScan::Create(fp)).value();
   const auto scan_res = std::move(fs.Run(w.database, 47)).value();
-  PesParams pp;
-  pp.domain_bits = 12;
-  pp.epsilon = 4.0;
-  pp.num_coords = 8;
-  pp.hash_range = 16;
-  pp.expander_degree = 4;
-  auto pes = std::move(PrivateExpanderSketch::Create(pp)).value();
-  const auto pes_res = std::move(pes.Run(w.database, 47)).value();
+  const auto pes_res = MustRun(SmallPes(12), w.database, 47);
   for (const auto& [item, count] : w.heavy) {
     EXPECT_TRUE(ResultContains(scan_res, item));
     EXPECT_TRUE(ResultContains(pes_res, item));

@@ -195,33 +195,31 @@ TEST(PropertyShell, EmpiricalDistanceHistogramMatchesLogProbs) {
 
 // ------------------------------------------------------ protocol caps --
 
+// A 16-bit-domain PES at eps = 4 with the small test geometry.
+ProtocolConfig SmallPes() {
+  ProtocolConfig c("private_expander_sketch");
+  c.SetUint("domain_bits", 16)
+      .SetDouble("eps", 4.0)
+      .SetUint("num_coords", 8)
+      .SetUint("hash_range", 16)
+      .SetUint("expander_degree", 4);
+  return c;
+}
+
 TEST(PropertyPes, ListCapIsRespected) {
-  PesParams p;
-  p.domain_bits = 16;
-  p.epsilon = 4.0;
-  p.num_coords = 8;
-  p.hash_range = 16;
-  p.expander_degree = 4;
-  p.list_cap = 8;
-  auto pes = std::move(PrivateExpanderSketch::Create(p)).value();
+  ProtocolConfig p = SmallPes();
+  p.SetUint("list_cap", 8);
   const Workload w = MakePlantedWorkload(1 << 17, 16, {0.3, 0.25}, 15);
-  const auto res = std::move(pes.Run(w.database, 17)).value();
+  const auto res = RunBatch(p, w.database, 17).value();
   // Output is bounded by B * list-recovery L = O(ell); with one bucket and
   // cap 8 the list cannot exceed a small multiple of the cap.
   EXPECT_LE(res.entries.size(), 16u);
 }
 
 TEST(PropertyProtocols, SeedsChangeNoiseNotFindings) {
-  PesParams p;
-  p.domain_bits = 16;
-  p.epsilon = 4.0;
-  p.num_coords = 8;
-  p.hash_range = 16;
-  p.expander_degree = 4;
-  auto pes = std::move(PrivateExpanderSketch::Create(p)).value();
   const Workload w = MakePlantedWorkload(1 << 18, 16, {0.3}, 19);
   for (uint64_t seed : {1ull, 2ull, 3ull}) {
-    const auto res = std::move(pes.Run(w.database, seed)).value();
+    const auto res = RunBatch(SmallPes(), w.database, seed).value();
     bool found = false;
     for (const auto& e : res.entries) found |= (e.item == w.heavy[0].first);
     EXPECT_TRUE(found) << "seed=" << seed;

@@ -1,16 +1,20 @@
-// Tests for src/protocols: evaluation helpers, metrics, and the protocol
-// classes' parameter handling plus fast end-to-end runs.
+// Tests for src/protocols: evaluation helpers, metrics, the RunBatch
+// driver, and the heavy-hitter Aggregators' parameter handling plus fast
+// end-to-end runs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
 
-#include "src/protocols/bitstogram.h"
+#include "src/codes/url_code.h"
 #include "src/protocols/freq_scan.h"
 #include "src/protocols/heavy_hitters.h"
-#include "src/protocols/private_expander_sketch.h"
-#include "src/protocols/succinct_hist.h"
+#include "src/protocols/registry.h"
+#include "src/protocols/run_batch.h"
 #include "src/workload/workload.h"
 
 namespace ldphh {
@@ -21,16 +25,55 @@ bool ResultContains(const HeavyHitterResult& r, const DomainItem& x) {
                      [&](const HeavyHitterEntry& e) { return e.item == x; });
 }
 
-// Fast PES config used across these tests: 262k users, 16-bit domain.
-PesParams FastPes() {
-  PesParams p;
-  p.domain_bits = 16;
-  p.epsilon = 4.0;
-  p.beta = 1e-3;
-  p.num_coords = 8;
-  p.hash_range = 16;
-  p.expander_degree = 4;
-  return p;
+// Fast PES config used across these tests: 16-bit domain, eps = 4.
+ProtocolConfig FastPes() {
+  ProtocolConfig c("private_expander_sketch");
+  c.SetUint("domain_bits", 16)
+      .SetDouble("eps", 4.0)
+      .SetDouble("beta", 1e-3)
+      .SetUint("num_coords", 8)
+      .SetUint("hash_range", 16)
+      .SetUint("expander_degree", 4);
+  return c;
+}
+
+ProtocolConfig Hh(const std::string& protocol, int domain_bits, double eps,
+                  double beta) {
+  ProtocolConfig c(protocol);
+  c.SetUint("domain_bits", static_cast<uint64_t>(domain_bits))
+      .SetDouble("eps", eps)
+      .SetDouble("beta", beta);
+  return c;
+}
+
+std::unique_ptr<Aggregator> MustCreate(const ProtocolConfig& config) {
+  auto agg_or = CreateAggregator(config);
+  EXPECT_TRUE(agg_or.ok()) << agg_or.status().ToString();
+  return std::move(agg_or).value();
+}
+
+HeavyHitterResult MustRun(const ProtocolConfig& config,
+                          const std::vector<DomainItem>& database,
+                          uint64_t seed) {
+  auto res_or = RunBatch(config, database, seed);
+  EXPECT_TRUE(res_or.ok()) << res_or.status().ToString();
+  return std::move(res_or).value();
+}
+
+double Threshold(const ProtocolConfig& config, uint64_t n) {
+  return MustCreate(config)->DetectionThreshold(n).value();
+}
+
+// The config RunBatch actually runs: seeded and sized to n.
+ProtocolConfig Sized(ProtocolConfig config, uint64_t seed, uint64_t n) {
+  config.SetUint("seed", seed).SetUint("n_hint", n);
+  return config;
+}
+
+size_t StateBytes(const ProtocolConfig& config) {
+  std::string state;
+  EXPECT_TRUE(MustCreate(config)->SerializeState(&state).ok());
+  return state.size();
 }
 
 // ------------------------------------------------------------ evaluation --
@@ -88,52 +131,139 @@ TEST(Metrics, ToStringContainsFields) {
   EXPECT_NE(s.find("comm_avg=10.0"), std::string::npos);
 }
 
-// --------------------------------------------------------------- PES API --
+// -------------------------------------------------------------- RunBatch --
+
+TEST(RunBatch, SameSeedGivesByteIdenticalEntries) {
+  const Workload w = MakePlantedWorkload(1 << 17, 10, {0.3, 0.2}, 45);
+  ProtocolConfig pes = FastPes();
+  pes.SetUint("domain_bits", 10);
+  for (const ProtocolConfig& config :
+       {pes, Hh("bitstogram", 10, 4.0, 1e-2), Hh("treehist", 10, 4.0, 1e-2),
+        Hh("succinct_hist", 10, 4.0, 1e-3)}) {
+    const auto a = MustRun(config, w.database, 17);
+    const auto b = MustRun(config, w.database, 17);
+    ASSERT_FALSE(a.entries.empty()) << config.ToText();
+    ASSERT_EQ(a.entries.size(), b.entries.size()) << config.ToText();
+    for (size_t i = 0; i < a.entries.size(); ++i) {
+      EXPECT_EQ(a.entries[i].item, b.entries[i].item) << config.ToText();
+      EXPECT_EQ(std::memcmp(&a.entries[i].estimate, &b.entries[i].estimate,
+                            sizeof(double)),
+                0)
+          << config.ToText();
+    }
+  }
+}
+
+TEST(RunBatch, CommBitsAreNTimesThePackedReportWidth) {
+  const uint64_t n = 1 << 14;
+  const Workload w = MakePlantedWorkload(n, 16, {0.3}, 44);
+  for (const ProtocolConfig& config :
+       {FastPes(), Hh("bitstogram", 16, 4.0, 1e-2),
+        Hh("treehist", 16, 4.0, 1e-2)}) {
+    Rng rng(1);
+    const int width = MustCreate(Sized(config, 13, n))
+                          ->Encode(0, w.database[0], rng)
+                          .value()
+                          .report.num_bits;
+    const auto res = MustRun(config, w.database, 13);
+    EXPECT_EQ(res.metrics.comm_bits_total, n * static_cast<uint64_t>(width))
+        << config.ToText();
+    EXPECT_EQ(res.metrics.comm_bits_max_user, static_cast<uint64_t>(width));
+    EXPECT_LE(width, 64);
+  }
+}
+
+TEST(RunBatch, ServerMemoryIsTheSerializedStateSize) {
+  // A PES state is fixed-width tallies, so its size is a function of the
+  // config alone: a fresh instance of the run's config serializes to it.
+  const uint64_t n = 1 << 17;
+  const Workload w = MakePlantedWorkload(n, 16, {0.3}, 44);
+  const auto res = MustRun(FastPes(), w.database, 13);
+  EXPECT_EQ(res.metrics.server_memory_bytes,
+            StateBytes(Sized(FastPes(), 13, n)));
+  EXPECT_EQ(res.metrics.public_random_bits_per_user,
+            MustCreate(FastPes())->PublicRandomBitsPerUser());
+}
+
+TEST(RunBatch, SizesNHintOnlyWhereTheGrammarHasIt) {
+  // PES: the run is sized to the true n, not the default n_hint (its
+  // bucket count and global oracle table both grow with n_hint).
+  const uint64_t n = 1 << 18;
+  const Workload w = MakePlantedWorkload(n, 12, {0.4}, 46);
+  const auto pes = MustRun(FastPes(), w.database, 3);
+  EXPECT_EQ(pes.metrics.server_memory_bytes, StateBytes(Sized(FastPes(), 3, n)));
+  EXPECT_NE(pes.metrics.server_memory_bytes, StateBytes(FastPes()));
+  // succinct_hist's grammar has no n_hint: setting one would be rejected,
+  // so the run succeeding shows the config went through untouched.
+  const ProtocolConfig sh = Hh("succinct_hist", 10, 2.0, 1e-3);
+  EXPECT_FALSE(MustCreate(sh)->config().Has("n_hint"));
+  const Workload small = MakePlantedWorkload(1 << 12, 10, {0.4}, 48);
+  EXPECT_TRUE(RunBatch(sh, small.database, 3).ok());
+}
+
+TEST(RunBatch, RejectsInvalidConfigsAndTinyDatabases) {
+  const Workload w = MakePlantedWorkload(1 << 10, 16, {0.3}, 47);
+  EXPECT_FALSE(RunBatch(ProtocolConfig("no_such_protocol"), w.database, 1).ok());
+  ProtocolConfig bad = FastPes();
+  bad.SetUint("domain_bits", 4);
+  EXPECT_FALSE(RunBatch(bad, w.database, 1).ok());
+  const std::vector<DomainItem> tiny(15, DomainItem(1));
+  for (const ProtocolConfig& config :
+       {FastPes(), Hh("bitstogram", 16, 4.0, 1e-2),
+        Hh("treehist", 16, 4.0, 1e-2), Hh("succinct_hist", 16, 4.0, 1e-3)}) {
+    EXPECT_FALSE(RunBatch(config, tiny, 1).ok()) << config.ToText();
+  }
+}
+
+// ------------------------------------------------------------------- PES --
 
 TEST(Pes, CreateValidatesParameters) {
-  PesParams p = FastPes();
-  p.domain_bits = 4;
-  EXPECT_FALSE(PrivateExpanderSketch::Create(p).ok());
+  ProtocolConfig p = FastPes();
+  p.SetUint("domain_bits", 4);
+  EXPECT_FALSE(CreateAggregator(p).ok());
   p = FastPes();
-  p.epsilon = 0.0;
-  EXPECT_FALSE(PrivateExpanderSketch::Create(p).ok());
+  p.SetDouble("eps", 0.0);
+  EXPECT_FALSE(CreateAggregator(p).ok());
   p = FastPes();
-  p.beta = 1.5;
-  EXPECT_FALSE(PrivateExpanderSketch::Create(p).ok());
+  p.SetDouble("beta", 1.5);
+  EXPECT_FALSE(CreateAggregator(p).ok());
   p = FastPes();
-  p.num_coords = 7;  // Propagates to the code: odd M rejected.
-  EXPECT_FALSE(PrivateExpanderSketch::Create(p).ok());
+  p.SetUint("num_coords", 7);  // Propagates to the code: odd M rejected.
+  EXPECT_FALSE(CreateAggregator(p).ok());
 }
 
 TEST(Pes, AutoParamsResolve) {
-  PesParams p;
-  p.domain_bits = 64;
-  auto pes = std::move(PrivateExpanderSketch::Create(p)).value();
-  EXPECT_EQ(pes.num_coords(), 16);
-  EXPECT_GT(pes.payload_bits(), 0);
-  EXPECT_LE(pes.payload_bits(), 64);
-  EXPECT_EQ(pes.params().list_cap, 4 * 64);
+  const auto pes = MustCreate(Hh("private_expander_sketch", 64, 2.0, 1e-3));
+  const ProtocolConfig& c = pes->config();
+  EXPECT_EQ(c.GetUintOr("num_coords", 0), 16u);
+  EXPECT_EQ(c.GetUintOr("list_cap", 0), 4u * 64u);
+  // The payload width Lz of the code the resolved parameters describe. A
+  // user in group (m, j) reports bit j of coordinate m's payload, a 64-bit
+  // word, so 0 < Lz <= 64.
+  UrlCodeParams cp;
+  cp.domain_bits = static_cast<int>(c.GetUintOr("domain_bits", 0));
+  cp.num_coords = static_cast<int>(c.GetUintOr("num_coords", 0));
+  cp.hash_range = static_cast<int>(c.GetUintOr("hash_range", 0));
+  cp.expander_degree = static_cast<int>(c.GetUintOr("expander_degree", 0));
+  cp.alpha = c.GetDoubleOr("alpha", 0.0);
+  auto code_or = UrlCode::Create(cp, /*seed=*/1);
+  ASSERT_TRUE(code_or.ok()) << code_or.status().ToString();
+  EXPECT_GT(code_or.value().PayloadBits(), 0);
+  EXPECT_LE(code_or.value().PayloadBits(), 64);
 }
 
 TEST(Pes, DetectionThresholdShape) {
-  auto pes = std::move(PrivateExpanderSketch::Create(FastPes())).value();
+  const auto pes = MustCreate(FastPes());
   // Quadrupling n doubles the threshold (sqrt scaling).
-  const double t1 = pes.DetectionThreshold(1 << 16);
-  const double t4 = pes.DetectionThreshold(1 << 18);
+  const double t1 = pes->DetectionThreshold(1 << 16).value();
+  const double t4 = pes->DetectionThreshold(1 << 18).value();
   EXPECT_NEAR(t4 / t1, 2.0, 1e-9);
 }
 
-TEST(Pes, RejectsTinyDatabases) {
-  auto pes = std::move(PrivateExpanderSketch::Create(FastPes())).value();
-  std::vector<DomainItem> db(8, DomainItem(1));
-  EXPECT_FALSE(pes.Run(db, 1).ok());
-}
-
 TEST(Pes, EndToEndRecoversPlantedHitters) {
-  auto pes = std::move(PrivateExpanderSketch::Create(FastPes())).value();
   const uint64_t n = 1 << 18;
   Workload w = MakePlantedWorkload(n, 16, {0.20, 0.17}, 42);
-  const auto res = std::move(pes.Run(w.database, 7)).value();
+  const auto res = MustRun(FastPes(), w.database, 7);
   for (const auto& [item, count] : w.heavy) {
     EXPECT_TRUE(ResultContains(res, item));
   }
@@ -145,20 +275,18 @@ TEST(Pes, EndToEndRecoversPlantedHitters) {
 TEST(Pes, NoJunkInOutputList) {
   // Every listed item must be a real element with nontrivial frequency
   // (the bucket-hash + code verification kills fabrications).
-  auto pes = std::move(PrivateExpanderSketch::Create(FastPes())).value();
   const uint64_t n = 1 << 18;
   Workload w = MakePlantedWorkload(n, 16, {0.25}, 43);
-  const auto res = std::move(pes.Run(w.database, 11)).value();
+  const auto res = MustRun(FastPes(), w.database, 11);
   ASSERT_GE(res.entries.size(), 1u);
   EXPECT_LE(res.entries.size(), 4u);
   EXPECT_TRUE(ResultContains(res, w.heavy[0].first));
 }
 
 TEST(Pes, MetricsAccounting) {
-  auto pes = std::move(PrivateExpanderSketch::Create(FastPes())).value();
   const uint64_t n = 1 << 17;
   Workload w = MakePlantedWorkload(n, 16, {0.3}, 44);
-  const auto res = std::move(pes.Run(w.database, 13)).value();
+  const auto res = MustRun(FastPes(), w.database, 13);
   const auto& m = res.metrics;
   EXPECT_EQ(m.num_users, n);
   EXPECT_GT(m.comm_bits_total, 0u);
@@ -170,24 +298,11 @@ TEST(Pes, MetricsAccounting) {
   EXPECT_GE(m.user_seconds_total, 0.0);
 }
 
-TEST(Pes, DeterministicGivenSeed) {
-  auto pes = std::move(PrivateExpanderSketch::Create(FastPes())).value();
-  Workload w = MakePlantedWorkload(1 << 17, 16, {0.3}, 45);
-  const auto a = std::move(pes.Run(w.database, 17)).value();
-  const auto b = std::move(pes.Run(w.database, 17)).value();
-  ASSERT_EQ(a.entries.size(), b.entries.size());
-  for (size_t i = 0; i < a.entries.size(); ++i) {
-    EXPECT_EQ(a.entries[i].item, b.entries[i].item);
-    EXPECT_DOUBLE_EQ(a.entries[i].estimate, b.entries[i].estimate);
-  }
-}
-
 TEST(Pes, ExplicitBucketCountHonored) {
-  PesParams p = FastPes();
-  p.num_buckets = 4;
-  auto pes = std::move(PrivateExpanderSketch::Create(p)).value();
+  ProtocolConfig p = FastPes();
+  p.SetUint("num_buckets", 4);
   Workload w = MakePlantedWorkload(1 << 18, 16, {0.25, 0.2}, 46);
-  const auto res = std::move(pes.Run(w.database, 19)).value();
+  const auto res = MustRun(p, w.database, 19);
   EXPECT_TRUE(ResultContains(res, w.heavy[0].first));
   EXPECT_TRUE(ResultContains(res, w.heavy[1].first));
 }
@@ -195,55 +310,36 @@ TEST(Pes, ExplicitBucketCountHonored) {
 // -------------------------------------------------------------- baselines --
 
 TEST(BitstogramApi, CreateValidatesAndAutofills) {
-  BitstogramParams p;
-  p.domain_bits = 16;
-  p.beta = 1.0 / 1024.0;
-  auto b = std::move(Bitstogram::Create(p)).value();
-  EXPECT_EQ(b.cohorts(), 10);  // ceil(log2 1024).
-  p.epsilon = -1;
-  EXPECT_FALSE(Bitstogram::Create(p).ok());
+  ProtocolConfig p = Hh("bitstogram", 16, 2.0, 1.0 / 1024.0);
+  EXPECT_EQ(MustCreate(p)->config().GetUintOr("cohorts", 0),
+            10u);  // ceil(log2 1024).
+  p.SetDouble("eps", -1);
+  EXPECT_FALSE(CreateAggregator(p).ok());
 }
 
 TEST(BitstogramApi, DetectionGrowsWithStricterBeta) {
-  BitstogramParams p;
-  p.domain_bits = 16;
-  p.beta = 1e-2;
-  auto loose = std::move(Bitstogram::Create(p)).value();
-  p.beta = 1e-6;
-  auto strict = std::move(Bitstogram::Create(p)).value();
   // The sqrt(log 1/beta) penalty of Theorem 3.3.
-  EXPECT_GT(strict.DetectionThreshold(1 << 18),
-            loose.DetectionThreshold(1 << 18));
+  EXPECT_GT(Threshold(Hh("bitstogram", 16, 2.0, 1e-6), 1 << 18),
+            Threshold(Hh("bitstogram", 16, 2.0, 1e-2), 1 << 18));
 }
 
 TEST(BitstogramRun, RecoversPlantedHitters) {
-  BitstogramParams p;
-  p.domain_bits = 16;
-  p.epsilon = 4.0;
-  p.beta = 1e-3;
-  auto b = std::move(Bitstogram::Create(p)).value();
   const uint64_t n = 1 << 18;
   Workload w = MakePlantedWorkload(n, 16, {0.22, 0.18}, 47);
-  const auto res = std::move(b.Run(w.database, 23)).value();
+  const auto res = MustRun(Hh("bitstogram", 16, 4.0, 1e-3), w.database, 23);
   EXPECT_TRUE(ResultContains(res, w.heavy[0].first));
   EXPECT_TRUE(ResultContains(res, w.heavy[1].first));
   EXPECT_LE(res.metrics.comm_bits_max_user, 64u);
 }
 
 TEST(SuccinctHistApi, DomainCapEnforced) {
-  SuccinctHistParams p;
-  p.domain_bits = 30;
-  EXPECT_FALSE(SuccinctHist::Create(p).ok());
+  EXPECT_FALSE(CreateAggregator(Hh("succinct_hist", 30, 2.0, 1e-3)).ok());
 }
 
 TEST(SuccinctHistRun, RecoversHittersOnTinyDomain) {
-  SuccinctHistParams p;
-  p.domain_bits = 10;
-  p.epsilon = 2.0;
-  auto sh = std::move(SuccinctHist::Create(p)).value();
   const uint64_t n = 1 << 14;
   Workload w = MakePlantedWorkload(n, 10, {0.4}, 48);
-  const auto res = std::move(sh.Run(w.database, 29)).value();
+  const auto res = MustRun(Hh("succinct_hist", 10, 2.0, 1e-3), w.database, 29);
   EXPECT_TRUE(ResultContains(res, w.heavy[0].first));
   EXPECT_EQ(res.metrics.comm_bits_max_user, 1u);  // One-bit reports.
 }
@@ -261,12 +357,10 @@ TEST(FreqScanRun, FindsAllAboveThreshold) {
 }
 
 TEST(ProtocolNames, AreDistinct) {
-  auto pes = std::move(PrivateExpanderSketch::Create(FastPes())).value();
-  BitstogramParams bp;
-  bp.domain_bits = 16;
-  auto bits = std::move(Bitstogram::Create(bp)).value();
-  EXPECT_NE(pes.Name(), bits.Name());
-  EXPECT_EQ(pes.Epsilon(), FastPes().epsilon);
+  const auto pes = MustCreate(FastPes());
+  const auto bits = MustCreate(Hh("bitstogram", 16, 2.0, 1e-3));
+  EXPECT_NE(pes->Name(), bits->Name());
+  EXPECT_EQ(pes->Epsilon(), 4.0);
 }
 
 }  // namespace

@@ -117,6 +117,18 @@ for f in $src_files; do
   fi
 done
 
+# Rule 7: no threads in the protocol layer. Server-side parallelism lives in
+# ShardedAggregator alone; a protocol is a single-threaded Aggregator, and
+# batch runs (RunBatch) drive that same Aggregator, so a per-protocol thread
+# pool would be a second sharding implementation.
+for f in $src_files; do
+  case "$f" in src/protocols/*) ;; *) continue ;; esac
+  hits=$(strip_comments "$f" | grep -nE 'std::thread|#include[[:space:]]*<thread>')
+  if [ -n "$hits" ]; then
+    fail "$f: thread use under src/protocols/; server-side parallelism belongs to ShardedAggregator" "$hits"
+  fi
+done
+
 # clang-tidy over the exported compile commands (the .clang-tidy config at
 # the repo root curates the checks).
 if command -v clang-tidy >/dev/null 2>&1; then
