@@ -80,7 +80,6 @@ void BM_ShardedIngest(benchmark::State& state) {
       return;
     }
     auto agg = std::move(agg_or).value();
-    if (!agg->Start().ok()) state.SkipWithError("Start failed");
     if (!agg->SubmitBatch(reports).ok()) state.SkipWithError("Submit failed");
     auto merged = agg->Finish();
     if (!merged.ok()) state.SkipWithError("Finish failed");
@@ -169,8 +168,8 @@ void NetIngest(benchmark::State& state, bool uds) {
     opts.queue_capacity = 1 << 17;
     opts.batch_size = 512;
     auto agg_or = ShardedAggregator::Create(Config(), opts);
-    if (!agg_or.ok() || !agg_or.value()->Start().ok()) {
-      state.SkipWithError("aggregator start failed");
+    if (!agg_or.ok()) {
+      state.SkipWithError("aggregator create failed");
       return;
     }
     auto agg = std::move(agg_or).value();

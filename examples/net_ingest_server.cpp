@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   ShardedAggregatorOptions agg_opts;
   agg_opts.num_shards = 4;
   auto agg_or = ShardedAggregator::Create(config, agg_opts);
-  if (!agg_or.ok() || !agg_or.value()->Start().ok()) {
+  if (!agg_or.ok()) {
     std::fprintf(stderr, "aggregator failed to start\n");
     return 1;
   }

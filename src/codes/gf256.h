@@ -2,7 +2,8 @@
 /// \brief GF(2^8) arithmetic (AES-adjacent polynomial x^8+x^4+x^3+x^2+1).
 ///
 /// Backs the Reed-Solomon codec that serves as the constant-rate ECC in the
-/// Theorem 3.6 unique-list-recoverable code (see DESIGN.md substitution 1).
+/// Theorem 3.6 unique-list-recoverable code (see "Implementation
+/// substitutions" in docs/protocols.md).
 
 #ifndef LDPHH_CODES_GF256_H_
 #define LDPHH_CODES_GF256_H_

@@ -7,8 +7,8 @@
 ///   Enc(x)_m   = (h_m(x), E~nc(x)_m)
 ///   E~nc(x)_m  = (enc(x)_m, h_{Gamma(m)_1}(x), ..., h_{Gamma(m)_d}(x))
 /// where enc is the inner error-correcting code (Reed-Solomon here, see
-/// DESIGN.md substitution 1) split into M chunks, and Gamma(m)_s is the s-th
-/// neighbor of m in the expander F.
+/// "Implementation substitutions" in docs/protocols.md) split into M chunks,
+/// and Gamma(m)_s is the s-th neighbor of m in the expander F.
 ///
 /// Decoding receives a list per coordinate (with distinct hash values per
 /// list — the "unique" in unique-list-recoverable), builds the layered graph

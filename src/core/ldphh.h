@@ -15,7 +15,8 @@
 ///    `MaxInformationBound`, `ShellComposedRR`, `GenProt`,
 ///    `RunLowerBoundExperiment`.
 ///
-/// See README.md for a quickstart and DESIGN.md for the system inventory.
+/// docs/protocols.md documents the registry and the implementation
+/// substitutions; docs/server.md and docs/storage.md the serving stack.
 
 #ifndef LDPHH_CORE_LDPHH_H_
 #define LDPHH_CORE_LDPHH_H_
@@ -47,7 +48,6 @@
 #include "src/protocols/protocol_config.h"  // IWYU pragma: export
 #include "src/protocols/registry.h"         // IWYU pragma: export
 #include "src/protocols/run_batch.h"        // IWYU pragma: export
-#include "src/server/checkpoint_log.h"      // IWYU pragma: export
 #include "src/server/epoch_manager.h"       // IWYU pragma: export
 #include "src/server/report_codec.h"        // IWYU pragma: export
 #include "src/server/sharded_aggregator.h"  // IWYU pragma: export

@@ -8,10 +8,11 @@
 /// regular graph), return disjoint vertex sets such that every eta-spectral
 /// cluster matches one returned set up to O(eta) * vol symmetric difference.
 ///
-/// Implementation (DESIGN.md substitution 3): connected components, then
-/// recursive spectral sweep-cut partitioning — a component whose best
-/// Fiedler sweep cut has conductance below the threshold is split and both
-/// sides are recursed on; otherwise the component is emitted as a cluster.
+/// Implementation (docs/protocols.md, "Implementation substitutions"):
+/// connected components, then recursive spectral sweep-cut partitioning — a
+/// component whose best Fiedler sweep cut has conductance below the
+/// threshold is split and both sides are recursed on; otherwise the
+/// component is emitted as a cluster.
 /// Low-degree peeling (the decoder's "degree <= d/2" rule) is left to the
 /// caller, which knows the expander degree.
 

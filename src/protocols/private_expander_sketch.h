@@ -5,8 +5,9 @@
 ///
 /// Pipeline (each user sends one combined message, eps/2 + eps/2):
 ///   1. Public randomness assigns user i to a coordinate group m in [M] and
-///      a payload position j (DESIGN.md substitution 5: the argmax over the
-///      exponential payload alphabet [Z] is realized bitwise), and publishes
+///      a payload position j (the argmax over the exponential payload
+///      alphabet [Z] is realized bitwise; see "Implementation
+///      substitutions" in docs/protocols.md), and publishes
 ///      the Theorem 3.6 code (expander + hashes h_1..h_M) and the bucket
 ///      hash g : X -> [B].
 ///   2. User i computes Enc(x_i) = (h_m(x_i), E~nc(x_i)_m), extracts payload

@@ -11,7 +11,7 @@
 /// because we derive the projection from a seed; the O~(n^1.5) user time of
 /// Table 1 is the cost of materializing the public randomness without
 /// random access (footnote 2), which we account for but do not burn cycles
-/// on — see EXPERIMENTS.md.
+/// on — see "Implementation substitutions" in docs/protocols.md.
 ///
 /// The protocol itself is the `succinct_hist` registry Aggregator
 /// (src/protocols/hh_serving.cc); this header holds its public sign and

@@ -32,11 +32,10 @@
 
 namespace ldphh {
 
-/// Record type tags; the log itself is type-agnostic.
+/// Record type tags; the log itself is type-agnostic. Tags below kCustom
+/// are reserved; the store (src/store/store_format.h) owns 128-130.
 enum class CheckpointRecordType : uint8_t {
-  kManifest = 1,    ///< Aggregator-level metadata.
-  kShardState = 2,  ///< One shard's serialized oracle state.
-  kCustom = 128,    ///< First tag free for other subsystems.
+  kCustom = 128,  ///< First tag free for other subsystems.
 };
 
 /// Fixed byte size of the per-record header.

@@ -81,8 +81,8 @@ Status EpochManager::RollAggregator() {
   reports_in_epoch_ = 0;
   epoch_opened_at_ = Now();
   current_epoch_gauge_->Set(static_cast<double>(current_epoch_));
-  open_reports_gauge_->Set(0.0);
-  return aggregator_->Start();
+  open_reports_gauge_->Set(static_cast<double>(carry_reports_));
+  return Status::OK();
 }
 
 std::chrono::steady_clock::time_point EpochManager::Now() const {
@@ -130,7 +130,8 @@ Status EpochManager::Submit(const WireReport& report) {
         "EpochManager: Submit outside Start()..Close()");
   }
   LDPHH_RETURN_IF_ERROR(aggregator_->Submit(report));
-  open_reports_gauge_->Set(static_cast<double>(++reports_in_epoch_));
+  ++reports_in_epoch_;
+  open_reports_gauge_->Set(static_cast<double>(reports_in_current_epoch()));
   if (reports_in_epoch_ >= options_.reports_per_epoch || EpochTimeUp()) {
     return CloseEpoch();
   }
@@ -163,7 +164,7 @@ Status EpochManager::CloseEpoch() {
         "EpochManager: CloseEpoch outside Start()..Close()");
   }
   obs::Span span(close_spans_.get());
-  const uint64_t count = reports_in_epoch_;
+  const uint64_t count = reports_in_current_epoch();
   span.set_args(current_epoch_, count);
   std::unique_ptr<Aggregator> merged;
   {
@@ -171,19 +172,24 @@ Status EpochManager::CloseEpoch() {
     auto merged_or = aggregator_->Finish();
     LDPHH_RETURN_IF_ERROR(merged_or.status());
     merged = std::move(merged_or).value();
+    if (carry_ != nullptr) {
+      // The earlier reports of this epoch go first, in arrival order.
+      LDPHH_RETURN_IF_ERROR(carry_->Merge(*merged));
+      merged = std::move(carry_);
+    }
   }
 
-  std::string blob;
-  {
-    const obs::Span::ChildScope serialize = span.Child("serialize");
-    PutU32(&blob, kEpochBlobMagic);
-    PutU16(&blob, kEpochBlobVersion);
-    PutU64(&blob, current_epoch_);
-    PutU64(&blob, count);
-    config_.AppendTo(&blob);
-    LDPHH_RETURN_IF_ERROR(merged->SerializeState(&blob));
-  }
-  {
+  const Status persisted = [&]() -> Status {
+    std::string blob;
+    {
+      const obs::Span::ChildScope serialize = span.Child("serialize");
+      PutU32(&blob, kEpochBlobMagic);
+      PutU16(&blob, kEpochBlobVersion);
+      PutU64(&blob, current_epoch_);
+      PutU64(&blob, count);
+      config_.AppendTo(&blob);
+      LDPHH_RETURN_IF_ERROR(merged->SerializeState(&blob));
+    }
     // The epoch blob and the clock record commit as one batch: with the
     // store's group-commit lane on they share a single append + sync
     // (possibly with concurrent writers); off, Apply degrades to the two
@@ -196,8 +202,18 @@ Status EpochManager::CloseEpoch() {
     writes[0].blob = blob;
     writes[1].key = kEpochClockKey;
     writes[1].blob = clock_blob;
-    LDPHH_RETURN_IF_ERROR(store_->Apply(writes));
+    return store_->Apply(writes);
+  }();
+  if (!persisted.ok()) {
+    // The epoch stays open: its reports so far ride along as the carry, a
+    // fresh aggregator takes new ones, and the next close (count, clock or
+    // Close()) retries the whole epoch under the same id.
+    carry_ = std::move(merged);
+    carry_reports_ = count;
+    LDPHH_RETURN_IF_ERROR(RollAggregator());
+    return persisted;
   }
+  carry_reports_ = 0;
 
   epochs_closed_->Increment();
   obs::TraceRing::Global().Record("epoch", "close", "", current_epoch_, count);
@@ -215,7 +231,7 @@ Status EpochManager::Close() {
   if (!started_ || closed_) {
     return Status::FailedPrecondition("EpochManager: Close outside Start()..");
   }
-  if (reports_in_epoch_ > 0) {
+  if (reports_in_current_epoch() > 0) {
     LDPHH_RETURN_IF_ERROR(CloseEpoch());
   }
   closed_ = true;

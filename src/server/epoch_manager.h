@@ -32,7 +32,7 @@
 /// CloseEpoch.
 ///
 /// Thread-safety: the control surface (Submit/CloseEpoch/Close) is
-/// single-threaded, like ShardedAggregator's Start/Finish; aggregation
+/// single-threaded, like ShardedAggregator's Finish; aggregation
 /// itself fans out across the shard workers. WindowedQuery only touches
 /// the store (thread-safe) and may run concurrently with ingestion.
 
@@ -90,8 +90,8 @@ class EpochManager {
   /// + 1) and starts the aggregator for the open epoch. Call once.
   Status Start();
 
-  /// Ingests one report into the open epoch; closes the epoch when it
-  /// reaches reports_per_epoch.
+  /// Ingests one report into the open epoch; closes the epoch every
+  /// reports_per_epoch reports (counted since the last close attempt).
   Status Submit(const WireReport& report);
 
   /// Decodes a wire-format batch (report_codec.h) and submits each report.
@@ -101,7 +101,11 @@ class EpochManager {
   /// Snapshots the open epoch's merged aggregator state into the store
   /// under the current epoch id (durable on return, config embedded), then
   /// opens the next epoch. Closing an epoch with zero reports is allowed
-  /// (a quiet period).
+  /// (a quiet period). When the store write fails, the error is returned,
+  /// the epoch stays open (current_epoch() does not advance) and keeps
+  /// every report it holds; ingestion continues and the next close —
+  /// count, clock, CloseEpoch() or Close() — persists the whole epoch. The
+  /// report whose Submit triggered a failed close is already counted.
   Status CloseEpoch();
 
   /// Wall-clock roll for quiet streams: closes the open epoch iff
@@ -135,7 +139,9 @@ class EpochManager {
   /// Id of the open epoch.
   uint64_t current_epoch() const { return current_epoch_; }
   /// Reports ingested into the open epoch so far.
-  uint64_t reports_in_current_epoch() const { return reports_in_epoch_; }
+  uint64_t reports_in_current_epoch() const {
+    return carry_reports_ + reports_in_epoch_;
+  }
 
  private:
   EpochManager(ProtocolConfig config, uint16_t wire_id, CheckpointStore* store,
@@ -150,7 +156,12 @@ class EpochManager {
   CheckpointStore* store_;
   EpochManagerOptions options_;
   std::unique_ptr<ShardedAggregator> aggregator_;
+  /// The open epoch's reports from before a failed close, merged; null
+  /// when the last close succeeded. Folded in by the next CloseEpoch().
+  std::unique_ptr<Aggregator> carry_;
+  uint64_t carry_reports_ = 0;
   uint64_t current_epoch_ = 0;
+  /// Reports in the current aggregator_ (the count-based roll trigger).
   uint64_t reports_in_epoch_ = 0;
   std::chrono::steady_clock::time_point epoch_opened_at_{};
   bool started_ = false;

@@ -14,14 +14,9 @@
 /// estimates are bit-for-bit those of a single-threaded aggregation of
 /// the same reports.
 ///
-/// Durability: `WriteCheckpoint` quiesces ingestion and appends a manifest
-/// — which embeds the serialized protocol config, making the checkpoint
-/// self-describing — plus every shard's serialized state to a checkpoint
-/// log; a fresh aggregator can `RestoreCheckpoint` and resume ingesting
-/// mid-stream after a crash, replaying only the reports submitted after
-/// the checkpoint. A restore into an aggregator with a different config or
-/// shard count fails with a descriptive `Status` instead of silently
-/// merging incompatible state.
+/// Durability lives one layer up: EpochManager (epoch_manager.h) persists
+/// each closed epoch's merged `Finish()` state to the CheckpointStore. The
+/// shards themselves are never snapshotted.
 ///
 /// Wire safety: `SubmitWire` rejects a batch stamped with a different
 /// protocol's wire id (see report_codec.h) before decoding a single
@@ -45,7 +40,6 @@
 #include "src/obs/statusz.h"
 #include "src/protocols/aggregator.h"
 #include "src/protocols/protocol_config.h"
-#include "src/server/checkpoint_log.h"
 #include "src/server/report_codec.h"
 
 namespace ldphh {
@@ -60,7 +54,6 @@ struct ShardedAggregatorOptions {
 /// Ingestion counters (read after Drain/Finish for a consistent view).
 struct IngestStats {
   uint64_t submitted = 0;               ///< Reports accepted by Submit*.
-  uint64_t restored = 0;                ///< Reports carried in via RestoreCheckpoint.
   uint64_t rejected = 0;                ///< Reports the protocol refused
                                         ///< (wrong shape for the config).
   std::vector<uint64_t> per_shard;      ///< Reports aggregated per shard.
@@ -70,7 +63,8 @@ struct IngestStats {
 class ShardedAggregator {
  public:
   /// Builds the service: one registry-created `Aggregator` per shard, all
-  /// from \p config (auto parameters resolve identically on every shard).
+  /// from \p config (auto parameters resolve identically on every shard),
+  /// and spawns the shard workers, so it ingests on return.
   /// Fails on an unknown protocol or invalid config/options.
   static StatusOr<std::unique_ptr<ShardedAggregator>> Create(
       const ProtocolConfig& config, ShardedAggregatorOptions options);
@@ -78,9 +72,6 @@ class ShardedAggregator {
   ~ShardedAggregator();
   ShardedAggregator(const ShardedAggregator&) = delete;
   ShardedAggregator& operator=(const ShardedAggregator&) = delete;
-
-  /// Spawns the worker threads. Call once, after any RestoreCheckpoint.
-  Status Start();
 
   /// Enqueues one report (thread-safe; blocks while the target queue is
   /// full). Reports are routed by a hash of the user index.
@@ -112,23 +103,8 @@ class ShardedAggregator {
   /// Blocks until every queue is empty and every worker is idle.
   Status Drain();
 
-  /// Quiesces ingestion and appends [manifest, shard states] to \p log,
-  /// finishing with the writer's Sync() — the checkpoint is durable per
-  /// the writer's SyncMode (power-loss durable at the default kFull)
-  /// before this returns success. The manifest embeds the serialized
-  /// protocol config. Ingestion may continue afterwards; the checkpoint
-  /// captures everything submitted before the call.
-  Status WriteCheckpoint(CheckpointWriter& log);
-
-  /// Loads the last complete checkpoint from \p log into the shard
-  /// aggregators. Must be called before Start(). The checkpoint's embedded
-  /// config and shard count are verified against this aggregator's; any
-  /// mismatch fails with a descriptive Status (kInvalidArgument) instead
-  /// of silently mis-merging.
-  Status RestoreCheckpoint(CheckpointReader& log);
-
   /// Stops the workers and merges all shard states into one aggregator,
-  /// which is returned un-finalized, so the caller may checkpoint or merge
+  /// which is returned un-finalized, so the caller may persist or merge it
   /// further before calling EstimateTopK(). The service is spent afterwards.
   StatusOr<std::unique_ptr<Aggregator>> Finish();
 
@@ -158,9 +134,8 @@ class ShardedAggregator {
     uint64_t ingested GUARDED_BY(mu) = 0;
     uint64_t rejected GUARDED_BY(mu) = 0;
     /// Deliberately not guarded by mu: the oracle is touched only by the
-    /// owning worker outside the queue lock, or by the main thread once the
-    /// worker is quiesced (paused_ handshake or joined) — an ownership
-    /// handoff, not a shared-state protocol.
+    /// owning worker outside the queue lock, or by Finish() once the worker
+    /// is joined — an ownership handoff, not a shared-state protocol.
     std::unique_ptr<Aggregator> oracle;
     std::shared_ptr<obs::Gauge> queue_depth;  ///< ldphh_ingest_queue_depth{shard=}.
     std::thread worker;
@@ -171,16 +146,15 @@ class ShardedAggregator {
                     ShardedAggregatorOptions options);
 
   void WorkerLoop(Shard& shard);
+  /// Signals stop and joins every worker (each drains its queue first).
+  void StopWorkers();
 
   ProtocolConfig config_;
   uint16_t wire_id_ = 0;
   ShardedAggregatorOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> paused_{false};  ///< Workers park while a checkpoint runs.
-  bool started_ = false;
   bool finished_ = false;
-  uint64_t restored_ = 0;
   /// Per-report privacy budget of the served randomizer (config "eps");
   /// 0 when the protocol does not declare one.
   double report_epsilon_ = 0.0;
@@ -189,14 +163,11 @@ class ShardedAggregator {
   // per-shard counters above); `submitted_` lives here rather than as a raw
   // atomic so the process-wide exposition sees it too.
   std::shared_ptr<obs::Counter> submitted_;
-  std::shared_ptr<obs::Counter> restored_reports_;
   std::shared_ptr<obs::Counter> rejected_reports_;
   std::shared_ptr<obs::Counter> wire_rejected_batches_;
   std::shared_ptr<obs::Counter> wire_bytes_;
   std::shared_ptr<obs::Histogram> wire_decode_ns_;
   std::shared_ptr<obs::Histogram> batch_aggregate_ns_;
-  std::shared_ptr<obs::Histogram> checkpoint_write_ns_;
-  std::shared_ptr<obs::Histogram> checkpoint_restore_ns_;
   /// Slow-span families for the two ingest hot paths (served at /spanz).
   std::shared_ptr<obs::SpanFamily> submit_wire_spans_;
   std::shared_ptr<obs::SpanFamily> aggregate_spans_;

@@ -184,7 +184,6 @@ TEST(AdminServer, ConcurrentScrapesWhileIngesting) {
   auto agg_or = ShardedAggregator::Create(config, opts);
   ASSERT_TRUE(agg_or.ok()) << agg_or.status().ToString();
   auto agg = std::move(agg_or).value();
-  ASSERT_TRUE(agg->Start().ok());
 
   const std::vector<WireReport> reports =
       EncodeSkewedReports(config, 20000, /*seed=*/11, /*value_domain=*/256);

@@ -15,6 +15,12 @@
 namespace ldphh {
 namespace {
 
+// Three distinct tags from the free range: the log stores the tag byte
+// verbatim and never interprets it.
+constexpr CheckpointRecordType kTagA = CheckpointRecordType::kCustom;
+constexpr CheckpointRecordType kTagB = static_cast<CheckpointRecordType>(129);
+constexpr CheckpointRecordType kTagC = static_cast<CheckpointRecordType>(130);
+
 std::string TempLogPath(const std::string& name) {
   return testing::TempDir() + "/ldphh_" + name + "_" +
          std::to_string(::getpid()) + ".log";
@@ -36,7 +42,7 @@ TEST_F(CheckpointLogTest, SyncFailurePropagatesAndHeals) {
   FaultInjectingFileSystem fs;
   CheckpointWriter writer;
   ASSERT_TRUE(writer.Open("/fault/sync.ckpt", &fs).ok());
-  ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "m").ok());
+  ASSERT_TRUE(writer.Append(kTagA, "m").ok());
   fs.set_fail_file_syncs(true);
   const Status failed = writer.Sync();
   EXPECT_FALSE(failed.ok());
@@ -56,24 +62,19 @@ TEST_F(CheckpointLogTest, EncodeRecordMatchesAppendByteForByte) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(
-        writer.Append(CheckpointRecordType::kManifest, payloads[0]).ok());
-    ASSERT_TRUE(
-        writer.Append(CheckpointRecordType::kShardState, payloads[1]).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kCustom, payloads[2]).ok());
+    ASSERT_TRUE(writer.Append(kTagA, payloads[0]).ok());
+    ASSERT_TRUE(writer.Append(kTagB, payloads[1]).ok());
+    ASSERT_TRUE(writer.Append(kTagC, payloads[2]).ok());
     ASSERT_TRUE(writer.Close().ok());
   }
   {
     std::string batch;
-    ASSERT_TRUE(CheckpointWriter::EncodeRecord(CheckpointRecordType::kManifest,
-                                               payloads[0], &batch)
-                    .ok());
-    ASSERT_TRUE(CheckpointWriter::EncodeRecord(
-                    CheckpointRecordType::kShardState, payloads[1], &batch)
-                    .ok());
-    ASSERT_TRUE(CheckpointWriter::EncodeRecord(CheckpointRecordType::kCustom,
-                                               payloads[2], &batch)
-                    .ok());
+    ASSERT_TRUE(
+        CheckpointWriter::EncodeRecord(kTagA, payloads[0], &batch).ok());
+    ASSERT_TRUE(
+        CheckpointWriter::EncodeRecord(kTagB, payloads[1], &batch).ok());
+    ASSERT_TRUE(
+        CheckpointWriter::EncodeRecord(kTagC, payloads[2], &batch).ok());
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(encoded_path).ok());
     ASSERT_TRUE(writer.AppendEncoded(batch, 3).ok());
@@ -104,9 +105,7 @@ TEST_F(CheckpointLogTest, AppendEncodedSyncFailurePropagatesAndHeals) {
   CheckpointWriter writer;
   ASSERT_TRUE(writer.Open("/fault/batch.ckpt", &fs).ok());
   std::string batch;
-  ASSERT_TRUE(CheckpointWriter::EncodeRecord(CheckpointRecordType::kManifest,
-                                             "grouped", &batch)
-                  .ok());
+  ASSERT_TRUE(CheckpointWriter::EncodeRecord(kTagA, "grouped", &batch).ok());
   ASSERT_TRUE(writer.AppendEncoded(batch, 1).ok());
   fs.set_fail_file_syncs(true);
   EXPECT_FALSE(writer.Sync().ok());  // The batch is NOT durable.
@@ -125,11 +124,11 @@ TEST_F(CheckpointLogTest, RoundTripsRecords) {
   path_ = TempLogPath("roundtrip");
   CheckpointWriter writer;
   ASSERT_TRUE(writer.Open(path_).ok());
-  ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "manifest").ok());
-  ASSERT_TRUE(writer.Append(CheckpointRecordType::kShardState, "").ok());
+  ASSERT_TRUE(writer.Append(kTagA, "manifest").ok());
+  ASSERT_TRUE(writer.Append(kTagB, "").ok());
   std::string big(100000, 'x');
   big[5] = '\0';  // Binary-safe.
-  ASSERT_TRUE(writer.Append(CheckpointRecordType::kCustom, big).ok());
+  ASSERT_TRUE(writer.Append(kTagC, big).ok());
   ASSERT_TRUE(writer.Close().ok());
 
   CheckpointReader reader;
@@ -137,13 +136,13 @@ TEST_F(CheckpointLogTest, RoundTripsRecords) {
   CheckpointRecordType type;
   std::string payload;
   ASSERT_TRUE(reader.Read(&type, &payload).ok());
-  EXPECT_EQ(type, CheckpointRecordType::kManifest);
+  EXPECT_EQ(type, kTagA);
   EXPECT_EQ(payload, "manifest");
   ASSERT_TRUE(reader.Read(&type, &payload).ok());
-  EXPECT_EQ(type, CheckpointRecordType::kShardState);
+  EXPECT_EQ(type, kTagB);
   EXPECT_TRUE(payload.empty());
   ASSERT_TRUE(reader.Read(&type, &payload).ok());
-  EXPECT_EQ(type, CheckpointRecordType::kCustom);
+  EXPECT_EQ(type, kTagC);
   EXPECT_EQ(payload, big);
   EXPECT_EQ(reader.Read(&type, &payload).code(), StatusCode::kOutOfRange);
 }
@@ -153,12 +152,12 @@ TEST_F(CheckpointLogTest, ReopenAppends) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "one").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "one").ok());
   }
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "two").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "two").ok());
   }
   CheckpointReader reader;
   ASSERT_TRUE(reader.Open(path_).ok());
@@ -175,9 +174,8 @@ TEST_F(CheckpointLogTest, TruncatedTailReadsAsEndOfLog) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "full").ok());
-    ASSERT_TRUE(
-        writer.Append(CheckpointRecordType::kShardState, "will be torn").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "full").ok());
+    ASSERT_TRUE(writer.Append(kTagB, "will be torn").ok());
   }
   // Simulate a crash mid-append: chop bytes off the end. Every truncation
   // point must still yield the first record and then a clean end-of-log.
@@ -207,7 +205,7 @@ TEST_F(CheckpointLogTest, CorruptRecordFailsWithDecodeFailure) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "payload").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "payload").ok());
   }
   std::ifstream in(path_, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -235,8 +233,8 @@ TEST_F(CheckpointLogTest, HugeCorruptLengthReadsAsEndOfLogWithoutAllocating) {
   {
     CheckpointWriter writer;
     ASSERT_TRUE(writer.Open(path_).ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "ok").ok());
-    ASSERT_TRUE(writer.Append(CheckpointRecordType::kCustom, "victim").ok());
+    ASSERT_TRUE(writer.Append(kTagA, "ok").ok());
+    ASSERT_TRUE(writer.Append(kTagC, "victim").ok());
   }
   // Corrupt the second record's length field (bytes 4..7 of its header) to
   // 0xfffffff0: the reader must not attempt a ~4 GB resize, and must stop
@@ -278,10 +276,9 @@ TEST_F(CheckpointLogTest, SyncedRecordSurvivesPowerLossWithTornUnsyncedTail) {
     {
       CheckpointWriter writer;
       ASSERT_TRUE(writer.Open(path, &fs, SyncMode::kFull).ok());
-      ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "acked").ok());
+      ASSERT_TRUE(writer.Append(kTagA, "acked").ok());
       ASSERT_TRUE(writer.Sync().ok());  // Acknowledged: durable from here.
-      ASSERT_TRUE(
-          writer.Append(CheckpointRecordType::kShardState, in_flight).ok());
+      ASSERT_TRUE(writer.Append(kTagB, in_flight).ok());
       ASSERT_TRUE(writer.Flush().ok());  // To the OS — NOT durable.
     }
     EXPECT_GE(fs.file_sync_count(), 1u) << "keep " << keep;
@@ -313,7 +310,7 @@ TEST_F(CheckpointLogTest, SyncModeNoneNeverSyncs) {
   FaultInjectingFileSystem fs;
   CheckpointWriter writer;
   ASSERT_TRUE(writer.Open("/faultfs/nosync.log", &fs, SyncMode::kNone).ok());
-  ASSERT_TRUE(writer.Append(CheckpointRecordType::kManifest, "x").ok());
+  ASSERT_TRUE(writer.Append(kTagA, "x").ok());
   ASSERT_TRUE(writer.Sync().ok());
   ASSERT_TRUE(writer.Close().ok());
   EXPECT_EQ(fs.file_sync_count(), 0u);

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/fault_fs.h"
 #include "src/common/random.h"
 #include "src/protocols/registry.h"
 #include "tests/serving_test_util.h"
@@ -377,6 +378,76 @@ TEST_F(EpochManagerTest, EpochClockSurvivesPruningEverything) {
   EXPECT_TRUE(mgr->PersistedEpochs().empty());
   EXPECT_EQ(mgr->WindowedQuery(UINT64_MAX, UINT64_MAX).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// A close whose store write fails must neither wedge the manager nor lose
+// the epoch: the closing Submit returns the store's error and the epoch
+// stays open, ingestion continues once the disk heals, and the next close
+// (count-based, then Close() with nothing new) persists that same epoch id
+// holding every report submitted since it opened.
+TEST_F(EpochManagerTest, FailedCloseKeepsEpochOpenAndRetries) {
+  for (const ProtocolConfig& config :
+       {OracleConfig("k_rr", 16, 1.0), OlhConfig(16, 1.0, 7),
+        OracleConfig("hadamard_response", 32, 1.0)}) {
+    SCOPED_TRACE(config.ToText());
+    const uint64_t kEpochSize = 100;
+    const auto reports = EncodeReports(config, 4 * kEpochSize, 21);
+
+    FaultInjectingFileSystem fs;
+    CheckpointStoreOptions store_opts;
+    store_opts.background_compaction = false;
+    store_opts.file_system = &fs;
+    auto store_or = CheckpointStore::Open("/fault/epochs", store_opts);
+    ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+    auto store = std::move(store_or).value();
+    EpochManagerOptions opts;
+    opts.reports_per_epoch = kEpochSize;
+    opts.aggregator.num_shards = 2;
+    auto mgr = OpenManager(config, store.get(), opts);
+    ASSERT_TRUE(mgr->Start().ok());
+
+    // Epoch 0 closes normally; epoch 1's close hits a failing fsync.
+    for (size_t i = 0; i < 2 * kEpochSize - 1; ++i) {
+      ASSERT_TRUE(mgr->Submit(reports[i]).ok());
+    }
+    fs.set_fail_file_syncs(true);
+    const Status failed = mgr->Submit(reports[2 * kEpochSize - 1]);
+    EXPECT_FALSE(failed.ok());
+    EXPECT_NE(failed.message().find("injected sync failure"),
+              std::string::npos)
+        << failed.ToString();
+    EXPECT_EQ(mgr->current_epoch(), 1u);
+    EXPECT_EQ(mgr->reports_in_current_epoch(), kEpochSize);
+    EXPECT_EQ(mgr->PersistedEpochs(), (std::vector<uint64_t>{0}));
+
+    // The disk heals; the next count boundary closes epoch 1 with all of
+    // its reports, the ones from before the failure included.
+    fs.set_fail_file_syncs(false);
+    for (size_t i = 2 * kEpochSize; i < 3 * kEpochSize; ++i) {
+      ASSERT_TRUE(mgr->Submit(reports[i]).ok());
+    }
+    EXPECT_EQ(mgr->current_epoch(), 2u);
+    EXPECT_EQ(mgr->PersistedEpochs(), (std::vector<uint64_t>{0, 1}));
+    auto epoch1_or = mgr->WindowedQuery(1, 1);
+    ASSERT_TRUE(epoch1_or.ok()) << epoch1_or.status().ToString();
+    ExpectSameEstimates(
+        *epoch1_or.value(),
+        *DirectAggregate(config, reports, kEpochSize, 3 * kEpochSize));
+
+    // A failed close with no report after it: Close() persists the carry.
+    for (size_t i = 3 * kEpochSize; i < 4 * kEpochSize - 1; ++i) {
+      ASSERT_TRUE(mgr->Submit(reports[i]).ok());
+    }
+    fs.set_fail_file_syncs(true);
+    EXPECT_FALSE(mgr->Submit(reports[4 * kEpochSize - 1]).ok());
+    fs.set_fail_file_syncs(false);
+    ASSERT_TRUE(mgr->Close().ok());
+    EXPECT_EQ(mgr->PersistedEpochs(), (std::vector<uint64_t>{0, 1, 2}));
+    auto all_or = mgr->WindowedQuery(0, 2);
+    ASSERT_TRUE(all_or.ok()) << all_or.status().ToString();
+    ExpectSameEstimates(*all_or.value(),
+                        *DirectAggregate(config, reports, 0, reports.size()));
+  }
 }
 
 // The ISSUE acceptance criterion: a kill at every compaction phase loses no

@@ -22,9 +22,7 @@
 #include "src/ldp/privacy_loss.h"
 #include "src/obs/json_writer.h"
 #include "src/obs/trace.h"
-#include "src/server/checkpoint_log.h"
 #include "src/server/epoch_manager.h"
-#include "src/server/sharded_aggregator.h"
 #include "src/store/checkpoint_store.h"
 #include "src/store/replica_store.h"
 #include "tests/serving_test_util.h"
@@ -365,28 +363,7 @@ TEST(Exposition, EveryExportedNameAppearsInDumpText) {
   const std::vector<WireReport> reports =
       testutil::EncodeSkewedReports(config, 2048, 11, 64);
 
-  // Ingest + checkpoint log: write a checkpoint, restore it elsewhere.
-  const std::string ckpt = "/tmp/ldphh_obs_test.ckpt";
-  std::remove(ckpt.c_str());
-  ShardedAggregatorOptions agg_opts;
-  agg_opts.num_shards = 2;
-  auto service = std::move(ShardedAggregator::Create(config, agg_opts)).value();
-  ASSERT_TRUE(service->Start().ok());
-  for (const WireReport& r : reports) ASSERT_TRUE(service->Submit(r).ok());
-  ASSERT_TRUE(service->Drain().ok());
-  {
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(ckpt).ok());
-    ASSERT_TRUE(service->WriteCheckpoint(log).ok());
-  }
-  auto restored = std::move(ShardedAggregator::Create(config, agg_opts)).value();
-  {
-    CheckpointReader log;
-    ASSERT_TRUE(log.Open(ckpt).ok());
-    ASSERT_TRUE(restored->RestoreCheckpoint(log).ok());
-  }
-
-  // Store + epochs + replica.
+  // Ingest (the epochs' sharded aggregator) + store + epochs + replica.
   const std::string dir = "/tmp/ldphh_obs_test_store";
   fs::remove_all(dir);
   CheckpointStoreOptions store_opts;
@@ -407,10 +384,7 @@ TEST(Exposition, EveryExportedNameAppearsInDumpText) {
   for (const char* required : {
            // Ingest.
            "ldphh_ingest_submitted_reports_total",
-           "ldphh_ingest_restored_reports_total",
            "ldphh_ingest_batch_aggregate_duration_ns",
-           "ldphh_ingest_checkpoint_write_duration_ns",
-           "ldphh_ingest_checkpoint_restore_duration_ns",
            "ldphh_ingest_queue_depth{shard=\"0\"}",
            // Checkpoint log (the fsync histogram).
            "ldphh_log_appends_total",
@@ -446,7 +420,6 @@ TEST(Exposition, EveryExportedNameAppearsInDumpText) {
   replica.reset();
   store.reset();
   fs::remove_all(dir);
-  std::remove(ckpt.c_str());
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Tests for src/codes/reed_solomon: the errors-and-erasures codec backing
-// the Theorem 3.6 construction (DESIGN.md substitution 1).
+// the Theorem 3.6 construction ("Implementation substitutions" in
+// docs/protocols.md).
 
 #include <gtest/gtest.h>
 

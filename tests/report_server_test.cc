@@ -119,7 +119,6 @@ std::unique_ptr<ShardedAggregator> StartedAggregator(
   EXPECT_TRUE(agg_or.ok()) << agg_or.status().ToString();
   LDPHH_CHECK(agg_or.ok(), "test: aggregator create failed");
   auto agg = std::move(agg_or).value();
-  EXPECT_TRUE(agg->Start().ok());
   return agg;
 }
 

@@ -1,21 +1,17 @@
 // Tests for src/server/sharded_aggregator: merge-equivalence of sharded
-// ingestion against the single-threaded baseline, durable self-describing
-// checkpoints, and the mergeable-state layer of every frequency oracle.
+// ingestion against the single-threaded baseline, the wire stamp, and the
+// mergeable-state layer of every frequency oracle.
 
 #include "src/server/sharded_aggregator.h"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "src/common/fault_fs.h"
 #include "src/freq/count_mean_sketch.h"
 #include "src/freq/direct_encoding.h"
 #include "src/freq/hadamard_response.h"
@@ -35,11 +31,6 @@ using testutil::ExpectSameEstimates;
 using testutil::MustCreate;
 using testutil::OlhConfig;
 using testutil::OracleConfig;
-
-std::string TempLogPath(const std::string& name) {
-  return testing::TempDir() + "/ldphh_" + name + "_" +
-         std::to_string(::getpid()) + ".ckpt";
-}
 
 std::vector<WireReport> EncodeReports(const ProtocolConfig& config, uint64_t n,
                                       uint64_t seed) {
@@ -67,7 +58,6 @@ void CheckMergeEquivalence(const ProtocolConfig& config, uint64_t n) {
   opts.queue_capacity = 1024;
   opts.batch_size = 128;
   auto agg = MustCreateSharded(config, opts);
-  ASSERT_TRUE(agg->Start().ok());
   // Route everything through the wire codec in chunks, as a client would —
   // stamped with the protocol's wire id.
   const size_t chunk = 4096;
@@ -111,175 +101,32 @@ TEST(ShardedAggregator, MergeEquivalenceOlh) {
   CheckMergeEquivalence(OlhConfig(16, 1.0, /*seed=*/77), kNumReports);
 }
 
-TEST(ShardedAggregator, CheckpointRestoreResumesMidIngest) {
-  const ProtocolConfig config = OracleConfig("hadamard_response", 128, 1.5);
-  const uint64_t n = 100000;
-  const auto reports = EncodeReports(config, n, 99);
-
-  auto baseline = DirectAggregate(config, reports, 0, reports.size());
-
-  const std::string path = TempLogPath("resume");
-  std::remove(path.c_str());
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 8;
-
-  // Phase 1: ingest the first 60%, checkpoint, then "crash" (the oracle
-  // state is simply dropped on the floor).
-  const size_t cut = 60000;
-  {
-    auto agg = MustCreateSharded(config, opts);
-    ASSERT_TRUE(agg->Start().ok());
-    for (size_t i = 0; i < cut; ++i) ASSERT_TRUE(agg->Submit(reports[i]).ok());
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-  }
-
-  // Phase 2: recover and replay only the post-checkpoint reports. The log
-  // itself names the protocol; the aggregator only has to match it.
-  {
-    auto agg = MustCreateSharded(config, opts);
-    CheckpointReader log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->RestoreCheckpoint(log).ok());
-    ASSERT_TRUE(agg->Start().ok());
-    for (size_t i = cut; i < n; ++i) ASSERT_TRUE(agg->Submit(reports[i]).ok());
-    auto merged_or = agg->Finish();
-    ASSERT_TRUE(merged_or.ok()) << merged_or.status().ToString();
-    auto merged = std::move(merged_or).value();
-
-    const IngestStats stats = agg->Stats();
-    EXPECT_EQ(stats.restored, cut);
-    EXPECT_EQ(stats.submitted, n - cut);
-
-    ExpectSameEstimates(*merged, *baseline);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(ShardedAggregator, CheckpointDuringConcurrentIngestLosesNothing) {
-  // The API allows producers to keep submitting while WriteCheckpoint runs;
-  // the snapshot pause must neither lose nor double-count reports.
-  const ProtocolConfig config = OracleConfig("k_rr", 32, 1.0);
-  const uint64_t n = 50000;
-  const auto reports = EncodeReports(config, n, 33);
-
-  auto baseline = DirectAggregate(config, reports, 0, reports.size());
-
-  const std::string path = TempLogPath("concurrent");
-  std::remove(path.c_str());
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 4;
-  opts.queue_capacity = 256;
-  auto agg = MustCreateSharded(config, opts);
-  ASSERT_TRUE(agg->Start().ok());
-
-  CheckpointWriter log;
-  ASSERT_TRUE(log.Open(path).ok());
-  std::thread producer([&] {
-    for (const WireReport& r : reports) ASSERT_TRUE(agg->Submit(r).ok());
-  });
-  for (int c = 0; c < 5; ++c) ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-  producer.join();
-
+// Create returns a running service; Finish spends it, after which every
+// ingest path and a second Finish fail instead of touching joined shards.
+TEST(ShardedAggregator, IngestsOnCreateAndRefusesWorkAfterFinish) {
+  const ProtocolConfig config = OracleConfig("k_rr", 16, 1.0);
+  const auto reports = EncodeReports(config, 100, 3);
+  auto agg = MustCreateSharded(config, ShardedAggregatorOptions{});
+  ASSERT_TRUE(agg->SubmitBatch(reports).ok());
+  ASSERT_TRUE(agg->Drain().ok());
+  EXPECT_EQ(agg->Stats().submitted, reports.size());
   auto merged_or = agg->Finish();
   ASSERT_TRUE(merged_or.ok()) << merged_or.status().ToString();
-  auto merged = std::move(merged_or).value();
-  ExpectSameEstimates(*merged, *baseline);
-  // Every checkpoint in the log must itself be restorable.
-  auto fresh = MustCreateSharded(config, opts);
-  CheckpointReader reader;
-  ASSERT_TRUE(reader.Open(path).ok());
-  ASSERT_TRUE(fresh->RestoreCheckpoint(reader).ok());
-  EXPECT_LE(fresh->Stats().restored, n);
-  std::remove(path.c_str());
-}
+  ExpectSameEstimates(*merged_or.value(),
+                      *DirectAggregate(config, reports, 0, reports.size()));
 
-TEST(ShardedAggregator, RestorePicksLastCompleteCheckpoint) {
-  const ProtocolConfig config = OracleConfig("k_rr", 16, 1.0);
-  const auto reports = EncodeReports(config, 2000, 5);
-  const std::string path = TempLogPath("last");
-  std::remove(path.c_str());
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 4;
-  {
-    auto agg = MustCreateSharded(config, opts);
-    ASSERT_TRUE(agg->Start().ok());
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(path).ok());
-    for (size_t i = 0; i < 1000; ++i) ASSERT_TRUE(agg->Submit(reports[i]).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-    for (size_t i = 1000; i < 1500; ++i) ASSERT_TRUE(agg->Submit(reports[i]).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());  // Supersedes the first.
-  }
-  auto agg = MustCreateSharded(config, opts);
-  CheckpointReader log;
-  ASSERT_TRUE(log.Open(path).ok());
-  ASSERT_TRUE(agg->RestoreCheckpoint(log).ok());
-  EXPECT_EQ(agg->Stats().restored, 1500u);
-  std::remove(path.c_str());
-}
-
-TEST(ShardedAggregator, RestoreRejectsShardCountMismatch) {
-  const ProtocolConfig config = OracleConfig("k_rr", 16, 1.0);
-  const std::string path = TempLogPath("mismatch");
-  std::remove(path.c_str());
-  {
-    ShardedAggregatorOptions opts;
-    opts.num_shards = 4;
-    auto agg = MustCreateSharded(config, opts);
-    ASSERT_TRUE(agg->Start().ok());
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-  }
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 2;
-  auto agg = MustCreateSharded(config, opts);
-  CheckpointReader log;
-  ASSERT_TRUE(log.Open(path).ok());
-  const Status st = agg->RestoreCheckpoint(log);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("shard count mismatch"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-// The satellite fix: a checkpoint taken under a different protocol config
-// (here: different epsilon, same everything else) must be refused with a
-// descriptive error, not silently restored into mismatched oracles.
-TEST(ShardedAggregator, RestoreRejectsConfigMismatch) {
-  const ProtocolConfig config = OracleConfig("hadamard_response", 32, 1.0);
-  const std::string path = TempLogPath("cfg_mismatch");
-  std::remove(path.c_str());
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 2;
-  {
-    auto agg = MustCreateSharded(config, opts);
-    ASSERT_TRUE(agg->Start().ok());
-    const auto reports = EncodeReports(config, 500, 8);
-    for (const WireReport& r : reports) ASSERT_TRUE(agg->Submit(r).ok());
-    CheckpointWriter log;
-    ASSERT_TRUE(log.Open(path).ok());
-    ASSERT_TRUE(agg->WriteCheckpoint(log).ok());
-  }
-  // Same oracle type and domain, different epsilon: without the embedded
-  // config this restore would silently produce garbage estimates.
-  const ProtocolConfig other = OracleConfig("hadamard_response", 32, 2.0);
-  auto agg = MustCreateSharded(other, opts);
-  CheckpointReader log;
-  ASSERT_TRUE(log.Open(path).ok());
-  const Status st = agg->RestoreCheckpoint(log);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("config mismatch"), std::string::npos)
-      << st.ToString();
-  std::remove(path.c_str());
+  EXPECT_EQ(agg->Submit(reports[0]).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(agg->SubmitBatch(reports).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(agg->TrySubmitBatch(reports).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(agg->Finish().status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ShardedAggregator, SubmitWireRejectsCorruptBatchWhole) {
   const ProtocolConfig config = OracleConfig("k_rr", 16, 1.0);
   const auto reports = EncodeReports(config, 100, 8);
   auto agg = MustCreateSharded(config, ShardedAggregatorOptions{});
-  ASSERT_TRUE(agg->Start().ok());
   std::string wire = EncodeReportBatch(reports, agg->wire_id());
   wire[wire.size() - 1] ^= 0x1;
   EXPECT_EQ(agg->SubmitWire(wire).code(), StatusCode::kDecodeFailure);
@@ -296,7 +143,6 @@ TEST(ShardedAggregator, SubmitWireRejectsWrongProtocolStamp) {
 
   auto agg = MustCreateSharded(OracleConfig("hadamard_response", 16, 1.0),
                                ShardedAggregatorOptions{});
-  ASSERT_TRUE(agg->Start().ok());
   const uint16_t krr_id =
       ProtocolRegistry::Global().WireIdOf("k_rr").value();
   const Status st = agg->SubmitWire(EncodeReportBatch(reports, krr_id));
@@ -447,36 +293,6 @@ TEST(MergeableState, CountMeanSketchMergeAndSnapshotMatchSequential) {
   for (uint64_t v = 0; v < 500; v += 17) {
     EXPECT_EQ(left.Estimate(DomainItem(v)), seq.Estimate(DomainItem(v)));
   }
-}
-
-// Pins that WriteCheckpoint refuses to acknowledge a checkpoint whose final
-// Sync failed (the [[nodiscard]] sweep hardened this path; a swallowed sync
-// error here would ack a checkpoint power loss can erase) — and that the
-// aggregator still checkpoints fine once the fault clears.
-TEST(ShardedAggregatorCheckpoint, WriteCheckpointSurfacesSyncFailure) {
-  const ProtocolConfig config = OlhConfig(/*domain=*/64, /*eps=*/1.0,
-                                          /*seed=*/7);
-  ShardedAggregatorOptions opts;
-  opts.num_shards = 2;
-  auto agg = MustCreateSharded(config, opts);
-  ASSERT_TRUE(agg->Start().ok());
-  for (const WireReport& r : EncodeReports(config, 256, 11)) {
-    ASSERT_TRUE(agg->Submit(r).ok());
-  }
-
-  FaultInjectingFileSystem fs;
-  CheckpointWriter log;
-  ASSERT_TRUE(log.Open("/fault/agg.ckpt", &fs).ok());
-  fs.set_fail_file_syncs(true);
-  EXPECT_FALSE(agg->WriteCheckpoint(log).ok());
-
-  // The fault clears: ingestion was never wedged and the checkpoint lands.
-  fs.set_fail_file_syncs(false);
-  for (const WireReport& r : EncodeReports(config, 64, 12)) {
-    ASSERT_TRUE(agg->Submit(r).ok());
-  }
-  EXPECT_TRUE(agg->WriteCheckpoint(log).ok());
-  ASSERT_TRUE(agg->Finish().ok());
 }
 
 }  // namespace

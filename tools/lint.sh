@@ -87,15 +87,13 @@ done
 # CheckpointWriter append bypasses the store's write lane — group commit,
 # sequence numbering, the write-health latch, and the put metrics/spans all
 # live there — so serving code must not hold one. Allowed: the definition
-# (src/server/checkpoint_log.*), the store itself (src/store/*), and
-# sharded_aggregator, whose WriteCheckpoint(CheckpointWriter&) serializes
-# shard state into a log the *caller* owns. Tests/benches stay exempt:
-# they exercise the raw writer by design (fault injection, format pinning).
+# (src/server/checkpoint_log.*) and the store itself (src/store/*).
+# Tests/benches stay exempt: they exercise the raw writer by design (fault
+# injection, format pinning).
 for f in $src_files; do
   case "$f" in
     src/server/checkpoint_log.*) continue ;;
     src/store/*) continue ;;
-    src/server/sharded_aggregator.*) continue ;;
   esac
   hits=$(strip_comments "$f" | grep -nE '(^|[^_[:alnum:]])CheckpointWriter([^_[:alnum:]]|$)')
   if [ -n "$hits" ]; then
